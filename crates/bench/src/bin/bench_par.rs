@@ -19,7 +19,8 @@
 //! ring for cross-segment traffic, and a large scheduling quantum so
 //! each slice carries real work. That is the regime parallel execution
 //! exists for; message-dominated workloads stay on the coordinator
-//! thread and gain little (BENCH_SCALE.json covers them).
+//! thread and gain little (perfbench's `fleet_failover` workload covers
+//! them).
 //!
 //! ```sh
 //! cargo run --release -p auros-bench --bin bench_par              # full sweep, writes BENCH_PAR.json

@@ -7,9 +7,8 @@
 //! Figure 1 (the architecture, reproduced by `auros::topology`) plus
 //! §8's qualitative efficiency claims and the §2 design-space argument.
 //! Each experiment here turns one claim into a measured table; the
-//! tables are printed by `cargo run -p auros-bench --bin experiments`
-//! and the same functions back the Criterion benches. `EXPERIMENTS.md`
-//! records claim-vs-measured for every row.
+//! tables are printed by `cargo run -p auros-bench --bin experiments`.
+//! `EXPERIMENTS.md` records claim-vs-measured for every row.
 
 pub mod experiments;
 pub mod flight;

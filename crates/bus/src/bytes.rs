@@ -9,28 +9,33 @@
 //! subsequent clone — per-target fan-out, the in-flight ledger, saved
 //! backup queues, rebuild records — is a reference-count bump.
 //!
-//! The module also hosts the *allocation probe*: a process-wide counter
-//! of fresh payload buffers, used by the perf baseline
-//! (`BENCH_PR2.json`) and by the regression test that pins "one frame
-//! to three clusters costs exactly one payload allocation".
+//! The module also hosts the *allocation probe*: a per-thread counter
+//! of fresh payload buffers, used by the regression test that pins "one
+//! frame to three clusters costs exactly one payload allocation".
 
+use std::cell::Cell;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Fresh payload-buffer allocations since process start.
-///
-/// Counts buffers, not clones: [`SharedBytes::clone`] and
-/// [`SharedBytes::slice`] never touch it, and zero-length buffers are
-/// interned and free. Monotonic and `Relaxed` — the simulation is
-/// single-threaded and the probe is only ever read for deltas.
-// auros-lint: allow(S1) -- observability-only counter: monotonic, never read by sim logic, so no cross-cluster information can flow through it
-static PAYLOAD_ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Fresh payload-buffer allocations made on this thread.
+    ///
+    /// Counts buffers, not clones: [`SharedBytes::clone`] and
+    /// [`SharedBytes::slice`] never touch it, and zero-length buffers
+    /// are interned and free. Per-thread so that two simulations on two
+    /// test threads cannot see each other's buffers.
+    // auros-lint: allow(S1) -- observability-only counter, never read by sim logic; thread-local because payload buffers are only ever built on the simulating thread (slice workers run only `Machine::run`, and the VM crate has no bus dependency)
+    static PAYLOAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Reads the allocation probe. Take a reading before and after the
-/// region of interest and subtract.
+/// Reads this thread's allocation probe. Take a reading before and
+/// after the region of interest and subtract.
 pub fn payload_allocs() -> u64 {
-    PAYLOAD_ALLOCS.load(Ordering::Relaxed)
+    PAYLOAD_ALLOCS.with(Cell::get)
+}
+
+fn count_alloc() {
+    PAYLOAD_ALLOCS.with(|n| n.set(n.get() + 1));
 }
 
 fn empty_buf() -> Arc<[u8]> {
@@ -63,7 +68,7 @@ impl SharedBytes {
         if data.is_empty() {
             return SharedBytes::empty();
         }
-        PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         SharedBytes { buf: Arc::from(data), off: 0, len: data.len() }
     }
 
@@ -117,7 +122,7 @@ impl From<Vec<u8>> for SharedBytes {
         if v.is_empty() {
             return SharedBytes::empty();
         }
-        PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         let len = v.len();
         SharedBytes { buf: Arc::from(v), off: 0, len }
     }

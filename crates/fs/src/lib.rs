@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 //! Peripheral servers (§7.6, §7.9): the file server, the raw disk
 //! server, and the terminal server, plus the dual-ported devices they

@@ -1505,7 +1505,6 @@ impl World {
         if jobs.is_empty() {
             return;
         }
-        eprintln!("BATCH {}", jobs.len());
         let mut done = Vec::with_capacity(jobs.len());
         self.runner.as_mut().expect("slices outstanding without a runner").collect(jobs, &mut done);
         for d in done {

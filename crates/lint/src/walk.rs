@@ -84,7 +84,7 @@ mod tests {
             "crates/kernel/tests/world_direct.rs",
             "tests/chaos.rs",
             "examples/quickstart.rs",
-            "vendor/criterion/src/lib.rs",
+            "vendor/rand/src/lib.rs",
         ] {
             assert_eq!(classify(Path::new(p)), CrateClass::Host, "{p}");
         }

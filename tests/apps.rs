@@ -165,6 +165,52 @@ fn etl_diverts_a_poisoned_record_and_conserves_the_stream() {
 }
 
 // ---------------------------------------------------------------------
+// The degradation matrix: every app under the two canonical fault plans
+// and fault-free, at one fixed seed. Faults pay in latency, never in
+// correctness (§3.3, §6).
+// ---------------------------------------------------------------------
+
+const MATRIX_SEED: u64 = 0xBE57;
+const APPS: [AppKind; 3] = [AppKind::KvStore, AppKind::ChatFanout, AppKind::EtlPipeline];
+
+/// Frame-level faults timed inside every app's traffic window, so each
+/// lands on a live flow.
+fn transient_mix(b: &mut SystemBuilder) {
+    b.drop_frame_at(VTime(2_500));
+    b.corrupt_frame_at(VTime(3_500));
+    b.duplicate_frame_at(VTime(4_500));
+    b.drop_frame_at(VTime(6_000));
+}
+
+/// Two cluster crashes in sequence; the second spares the first
+/// victim's dual-ported partner, which would be outside the fault model.
+fn cascade_failover(b: &mut SystemBuilder) {
+    b.crash_at(VTime(4_000), 0);
+    b.crash_at(VTime(11_000), 2);
+}
+
+#[test]
+fn matrix_fault_free() {
+    for kind in APPS {
+        run_checked(&AppWorkload::new(kind, MATRIX_SEED), |_| {});
+    }
+}
+
+#[test]
+fn matrix_transient_mix() {
+    for kind in APPS {
+        run_checked(&AppWorkload::new(kind, MATRIX_SEED), transient_mix);
+    }
+}
+
+#[test]
+fn matrix_cascade_failover() {
+    for kind in APPS {
+        run_checked(&AppWorkload::new(kind, MATRIX_SEED), cascade_failover);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Determinism properties: the DSL and the models are pure.
 // ---------------------------------------------------------------------
 

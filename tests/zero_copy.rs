@@ -37,9 +37,6 @@ fn bulk_run(fault_tolerant: bool) -> auros::System {
 /// copy-in from guest memory. A run without fault tolerance (single
 /// delivery target) must allocate exactly the same amount; the whole
 /// cost of the two extra destinations is reference-count traffic.
-///
-/// Single test function: the probe is process-global, and the test
-/// harness runs tests in one binary concurrently.
 #[test]
 fn triple_delivery_costs_one_allocation_per_message() {
     let before = payload_allocs();
