@@ -24,7 +24,7 @@ thread_local! {
     /// [`SharedBytes::slice`] never touch it, and zero-length buffers
     /// are interned and free. Per-thread so that two simulations on two
     /// test threads cannot see each other's buffers.
-    // auros-lint: allow(S1) -- observability-only counter, never read by sim logic; thread-local because payload buffers are only ever built on the simulating thread (slice workers run only `Machine::run`, and the VM crate has no bus dependency)
+    // auros-lint: allow(S1) -- observability-only counter, never read by sim logic; thread-local because a simulation builds its payload buffers on the one thread that runs it, so concurrent simulations each count only their own
     static PAYLOAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 

@@ -21,7 +21,7 @@
 
 use auros_sim::{Dur, VTime};
 
-use crate::schedule::{BusCounters, BusKind, BusSchedule, Reservation, WireFault};
+use crate::schedule::{BusCounters, BusKind, BusSchedule, Grant, WireFault};
 
 /// A partitioned intercluster bus: `ceil(clusters / segment_size)`
 /// independent dual-bus broadcast domains joined by gateways.
@@ -100,7 +100,7 @@ impl BusFabric {
 
     /// Applies a fabric-level armed one-shot to a fresh grant
     /// (multi-segment only; single-segment fabrics arm the segment).
-    fn apply_fabric_fault(&mut self, res: &mut Reservation) {
+    fn apply_fabric_fault(&mut self, res: &mut Grant) {
         if res.fault.is_none() && self.armed.first().is_some_and(|(t, _)| *t <= res.start) {
             res.fault = Some(self.armed.remove(0).1);
         }
@@ -110,7 +110,7 @@ impl BusFabric {
     /// cross-segment frame reaches, and stretches delivery by the fixed
     /// gateway latency. The forwarded copy starts no earlier than the
     /// home window's end (store-and-forward).
-    fn forward_cross_segment<I>(&mut self, res: &mut Reservation, xmit: Dur, remotes: I)
+    fn forward_cross_segment<I>(&mut self, res: &mut Grant, xmit: Dur, remotes: I)
     where
         I: Iterator<Item = usize>,
     {
@@ -139,7 +139,7 @@ impl BusFabric {
         earliest: VTime,
         xmit: Dur,
         bytes: usize,
-    ) -> Option<Reservation>
+    ) -> Option<Grant>
     where
         I: Iterator<Item = u16>,
     {
@@ -155,7 +155,7 @@ impl BusFabric {
         earliest: VTime,
         xmit: Dur,
         bytes: usize,
-    ) -> Option<Reservation>
+    ) -> Option<Grant>
     where
         I: Iterator<Item = u16>,
     {
@@ -170,7 +170,7 @@ impl BusFabric {
         xmit: Dur,
         bytes: usize,
         retry: bool,
-    ) -> Option<Reservation>
+    ) -> Option<Grant>
     where
         I: Iterator<Item = u16>,
     {
@@ -325,92 +325,12 @@ impl BusFabric {
     }
 }
 
-// ----------------------------------------------------------------------
-// Partition mapping and the conservative lookahead window. Free functions
-// (no fabric instance needed): the parallel executor asks these questions
-// before the world is even built, and the DESIGN.md soundness argument is
-// stated in terms of them.
-// ----------------------------------------------------------------------
-
-/// The segment a cluster belongs to, as a pure function of the fabric
-/// shape (`segment_size == 0` means unsegmented: everything in segment 0).
-/// Matches [`BusFabric::segment_of`] by construction.
-pub fn segment_of(cluster: u16, segment_size: u16) -> usize {
-    cluster.checked_div(segment_size).unwrap_or(0) as usize
-}
-
-/// The executor partition a cluster's slices prefer, derived from bus
-/// topology: whole segments map to partitions round-robin, so clusters
-/// sharing a broadcast domain share a partition's locality while the
-/// segments spread evenly over `partitions` workers.
-///
-/// Purely advisory — *placement* affects wall-clock only; the merge order
-/// is fixed by reservation seq, so any `partitions` value yields
-/// byte-identical results.
-pub fn partition_of(cluster: u16, segment_size: u16, partitions: u32) -> u32 {
-    let p = partitions.max(1);
-    (segment_of(cluster, segment_size) as u32) % p
-}
-
-/// The conservative lookahead window: the minimum virtual-time distance
-/// between a cluster initiating a cross-cluster effect and that effect
-/// becoming visible anywhere else. A send costs `exec_send` on the CPU
-/// before it can even request a bus window, the window itself lasts at
-/// least `bus_latency`, and a multi-segment fabric adds `gateway_latency`
-/// store-and-forward for frames that leave their home domain.
-///
-/// Any computation whose commit-time lower bound exceeds the current
-/// event's time by less than this window can still only affect its *own*
-/// cluster — which is why a VM slice (whose only externally visible
-/// output is an event on its own cluster, lower-bounded by the dispatch
-/// cost) can run concurrently with the coordinator without tightening
-/// this bound.
-pub fn grant_horizon(
-    exec_send: Dur,
-    bus_latency: Dur,
-    gateway_latency: Dur,
-    multi_segment: bool,
-) -> Dur {
-    let base = Dur(exec_send.as_ticks() + bus_latency.as_ticks());
-    if multi_segment {
-        Dur(base.as_ticks() + gateway_latency.as_ticks())
-    } else {
-        base
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn targets(list: &[u16]) -> impl Iterator<Item = u16> + '_ {
         list.iter().copied()
-    }
-
-    #[test]
-    fn free_segment_of_matches_fabric() {
-        let fabric = BusFabric::new(64, 16, Dur(30));
-        for c in 0..64u16 {
-            assert_eq!(segment_of(c, 16), fabric.segment_of(c));
-        }
-        assert_eq!(segment_of(7, 0), 0, "unsegmented collapses to one domain");
-    }
-
-    #[test]
-    fn partition_of_spreads_segments_and_tolerates_zero() {
-        // 4 segments over 2 partitions: alternating.
-        assert_eq!(partition_of(0, 16, 2), 0);
-        assert_eq!(partition_of(16, 16, 2), 1);
-        assert_eq!(partition_of(32, 16, 2), 0);
-        assert_eq!(partition_of(63, 16, 2), 1);
-        // partitions = 0 is treated as 1 (everything on one worker).
-        assert_eq!(partition_of(63, 16, 0), 0);
-    }
-
-    #[test]
-    fn grant_horizon_is_send_plus_bus_plus_optional_gateway() {
-        assert_eq!(grant_horizon(Dur(5), Dur(20), Dur(30), false), Dur(25));
-        assert_eq!(grant_horizon(Dur(5), Dur(20), Dur(30), true), Dur(55));
     }
 
     #[test]

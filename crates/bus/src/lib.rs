@@ -31,9 +31,9 @@ pub mod proto;
 pub mod schedule;
 
 pub use bytes::{payload_allocs, SharedBytes};
-pub use fabric::{grant_horizon, partition_of, BusFabric};
+pub use fabric::BusFabric;
 pub use frame::{DeliveryTag, Frame, Message, MsgId};
 pub use ids::{ChannelName, ClusterId, EntryId, Fd, Pid, Sig};
 pub use link::{FrameClass, LinkLedger};
 pub use proto::Payload;
-pub use schedule::{BusKind, BusSchedule, Reservation, WireFault};
+pub use schedule::{BusKind, BusSchedule, Grant, WireFault};

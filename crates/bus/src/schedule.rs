@@ -79,7 +79,7 @@ impl From<WireFault> for auros_sim::trace::TraceWireFault {
 
 /// An exclusive transmission window granted by [`BusSchedule::reserve`].
 #[derive(Clone, Copy, Debug)]
-pub struct Reservation {
+pub struct Grant {
     /// When transmission begins.
     pub start: VTime,
     /// When the frame reaches all targets (absent faults).
@@ -247,31 +247,20 @@ impl BusSchedule {
     /// `earliest` is when the transmitting executive is ready; `xmit` is
     /// the frame's transmission time (latency plus size cost, computed by
     /// the caller's cost model). The frame reaches all its targets at
-    /// `Reservation::deliver_at` unless the window carries an injected
+    /// `Grant::deliver_at` unless the window carries an injected
     /// fault. Returns `None` if no bus is healthy.
-    pub fn reserve(&mut self, earliest: VTime, xmit: Dur, bytes: usize) -> Option<Reservation> {
+    pub fn reserve(&mut self, earliest: VTime, xmit: Dur, bytes: usize) -> Option<Grant> {
         self.grant(earliest, xmit, bytes, false)
     }
 
     /// Reserves a window for a *re-transmission* of a frame already
     /// counted by [`BusSchedule::reserve`]. Accounted under
     /// `BusCounters::retries`, never under `frames`/`bytes`.
-    pub fn reserve_retry(
-        &mut self,
-        earliest: VTime,
-        xmit: Dur,
-        bytes: usize,
-    ) -> Option<Reservation> {
+    pub fn reserve_retry(&mut self, earliest: VTime, xmit: Dur, bytes: usize) -> Option<Grant> {
         self.grant(earliest, xmit, bytes, true)
     }
 
-    fn grant(
-        &mut self,
-        earliest: VTime,
-        xmit: Dur,
-        bytes: usize,
-        retry: bool,
-    ) -> Option<Reservation> {
+    fn grant(&mut self, earliest: VTime, xmit: Dur, bytes: usize, retry: bool) -> Option<Grant> {
         let bus = self.active()?;
         self.active = bus;
         let start = self.free_at.max(earliest);
@@ -289,7 +278,7 @@ impl BusSchedule {
             c.bytes += bytes as u64;
         }
         c.busy += xmit.as_ticks();
-        Some(Reservation { start, deliver_at: end, bus, fault })
+        Some(Grant { start, deliver_at: end, bus, fault })
     }
 
     /// Arms a one-shot transient fault: the first window whose start is
@@ -493,7 +482,7 @@ impl BusSchedule {
 mod tests {
     use super::*;
 
-    fn window(r: Reservation) -> (VTime, VTime) {
+    fn window(r: Grant) -> (VTime, VTime) {
         (r.start, r.deliver_at)
     }
 

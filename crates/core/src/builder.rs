@@ -508,14 +508,6 @@ impl System {
         self.world.run_until(deadline);
     }
 
-    /// Enables parallel execution of VM slices on `runner` (e.g.
-    /// `auros-par`'s threaded pool). Results are byte-identical to the
-    /// sequential run — `tests/par_equiv.rs` pins this — only wall-clock
-    /// changes. Call before the first run.
-    pub fn set_slice_runner(&mut self, runner: Box<dyn auros_kernel::SliceRunner>) {
-        self.world.set_slice_runner(runner);
-    }
-
     /// Lets in-flight activity finish: runs `extra` ticks past the
     /// current time. Use after injecting a fault near (or past) workload
     /// completion, so detection, promotion, and replay finish before the

@@ -480,42 +480,6 @@ fn build(plan: &[FaultEvent], app: Option<&AppWorkload>) -> System {
     sys
 }
 
-/// The sweep's per-run deadline, exported so equivalence and bench
-/// harnesses drive scenarios under the sweep's own budget.
-pub const SWEEP_DEADLINE: VTime = DEADLINE;
-
-/// Samples a fault plan of a specific shape for `scenario`, exactly as
-/// the sweep would: `seed`'s derived substreams are drawn in sweep order
-/// until one lands on `kind`, so the returned plan is one the real sweep
-/// can produce (events, spacing, victims and all).
-///
-/// # Panics
-///
-/// Panics if 10 000 draws never sample `kind` (the kinds are uniform, so
-/// this is unreachable in practice).
-pub fn plan_of_kind(seed: u64, kind: PlanKind, scenario: Scenario) -> Vec<FaultEvent> {
-    let app = scenario.app(seed);
-    let spawns = poisonable(app.as_ref());
-    let mut rng = DetRng::seed(seed);
-    for index in 0..10_000u64 {
-        let mut plan_rng = rng.split(index);
-        let (k, events, _) = sample_plan(&mut plan_rng, &spawns);
-        if k == kind {
-            return events;
-        }
-    }
-    panic!("10k draws without sampling {kind:?}")
-}
-
-/// Builds one sweep run: the scenario's workload plus `plan`, flight
-/// recorder armed exactly as [`run_sweep`] arms it. Callers drive the
-/// returned system themselves — the seam the seq-vs-parallel
-/// equivalence suite and `bench_par` are built on.
-pub fn build_scenario(seed: u64, scenario: Scenario, plan: &[FaultEvent]) -> System {
-    let app = scenario.app(seed);
-    build(plan, app.as_ref())
-}
-
 /// Runs the sweep.
 pub fn run_sweep(cfg: &ChaosConfig) -> ChaosReport {
     let app = cfg.scenario.app(cfg.seed);

@@ -24,7 +24,6 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod config;
 pub mod crash;
-pub mod par_exec;
 pub mod process;
 pub mod procserver;
 pub mod routing;
@@ -38,7 +37,6 @@ pub mod world;
 
 pub use cluster::Cluster;
 pub use config::{Config, CostModel};
-pub use par_exec::{SeqRunner, SliceDone, SliceJob, SliceRunner};
 pub use process::{BlockState, Pcb, ProcessBody, ProcessState};
 pub use routing::{BackupEntry, Entry, Queued, RoutingTable};
 pub use server::{Device, SendOnEnd, ServerCtx, ServerLogic};

@@ -22,11 +22,6 @@ pub enum ProcessBody {
     /// A system or peripheral server (§7.6). Servers execute like user
     /// processes but their "address space" is their state object.
     Server(Box<dyn ServerLogic>),
-    /// A user process whose machine is out on a slice worker (parallel
-    /// execution). The coordinator's flush discipline guarantees nothing
-    /// touches the machine while lent; accessors panic rather than
-    /// silently treating the process as machine-less.
-    Lent,
 }
 
 impl std::fmt::Debug for ProcessBody {
@@ -34,7 +29,6 @@ impl std::fmt::Debug for ProcessBody {
         match self {
             ProcessBody::User(m) => write!(f, "User({})", m.program().name()),
             ProcessBody::Server(s) => write!(f, "Server({})", s.name()),
-            ProcessBody::Lent => write!(f, "Lent"),
         }
     }
 }
@@ -304,65 +298,19 @@ impl Pcb {
     }
 
     /// The guest machine, if a user process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine is lent to a slice worker: every code path
-    /// that can observe a machine must be preceded by a flush of the
-    /// owning cluster's outstanding slices, so hitting a [`Lent`] body
-    /// here is a flush-discipline bug, not a server.
-    ///
-    /// [`Lent`]: ProcessBody::Lent
     pub fn machine_mut(&mut self) -> Option<&mut Machine> {
         match &mut self.body {
             ProcessBody::User(m) => Some(&mut **m),
             ProcessBody::Server(_) => None,
-            ProcessBody::Lent => {
-                panic!("machine of {:?} accessed while lent to a worker", self.pid)
-            }
         }
     }
 
-    /// The guest machine, if a user process (shared). Panics on a lent
-    /// body, like [`Pcb::machine_mut`].
+    /// The guest machine, if a user process (shared).
     pub fn machine(&self) -> Option<&Machine> {
         match &self.body {
             ProcessBody::User(m) => Some(&**m),
             ProcessBody::Server(_) => None,
-            ProcessBody::Lent => {
-                panic!("machine of {:?} accessed while lent to a worker", self.pid)
-            }
         }
-    }
-
-    /// Takes the machine out of a user process, leaving [`ProcessBody::Lent`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body is not `User` (servers never lend; double-lend
-    /// is a coordinator bug).
-    pub fn lend_machine(&mut self) -> Box<Machine> {
-        match std::mem::replace(&mut self.body, ProcessBody::Lent) {
-            ProcessBody::User(m) => m,
-            other => {
-                self.body = other;
-                panic!("lend_machine on {:?}: body is not a user machine", self.pid)
-            }
-        }
-    }
-
-    /// Reinstalls a machine previously taken with [`Pcb::lend_machine`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body is not `Lent`.
-    pub fn restore_machine(&mut self, m: Box<Machine>) {
-        assert!(
-            matches!(self.body, ProcessBody::Lent),
-            "restore_machine on {:?}: body is not lent",
-            self.pid
-        );
-        self.body = ProcessBody::User(m);
     }
 }
 

@@ -185,9 +185,6 @@ impl World {
         let image: SharedImage = match &pcb.body {
             ProcessBody::User(m) => Arc::new(m.snapshot()),
             ProcessBody::Server(s) => Arc::new(ServerImage(s.clone_image())),
-            ProcessBody::Lent => {
-                panic!("sync snapshot of {pid:?} while its machine is lent to a worker")
-            }
         };
         let announce = pcb.rebuild_pending;
         let rebuild = if pcb.rebuild_pending || sync_seq == 1 {

@@ -13,19 +13,16 @@ use auros_bus::proto::{
     BackupMode, ChanEnd, ChanKind, ChannelId, ChannelInit, PagerReply, Payload, ProcReply,
     ProcRequest, ServiceKind, Side,
 };
-use auros_bus::schedule::Reservation;
+use auros_bus::schedule::Grant;
 use auros_bus::{
     BusFabric, BusKind, ClusterId, DeliveryTag, Frame, FrameClass, LinkLedger, Message, MsgId, Pid,
     WireFault,
 };
 use auros_sim::trace::RetryWhy;
-use auros_sim::{
-    Dur, EventQueue, Loc, MetricsRegistry, ParallelExecutor, TraceKind, TraceLog, VTime,
-};
+use auros_sim::{Dur, EventQueue, Loc, MetricsRegistry, TraceKind, TraceLog, VTime};
 
 use crate::cluster::{Cluster, PendingFrame};
 use crate::config::Config;
-use crate::par_exec::{SliceJob, SliceRunner};
 use crate::process::ProcessState;
 use crate::routing::{BackupEntry, Entry, Queued};
 use crate::server::Device;
@@ -324,32 +321,6 @@ pub struct World {
     /// divide this by wall-clock to get events/sec; it is not part of
     /// the published metrics (virtual-time ledgers stay byte-stable).
     pub events_processed: u64,
-    /// Where VM slices execute when parallel execution is enabled;
-    /// `None` (the default) is the sequential path, byte-for-byte the
-    /// historical behavior.
-    runner: Option<Box<dyn SliceRunner>>,
-    /// Merge ledger for slices currently out on the runner.
-    par: ParallelExecutor,
-    /// Coordinator-side state of each outstanding slice, keyed by job id
-    /// (= reserved event seq).
-    lent: BTreeMap<u64, PendingSlice>,
-}
-
-/// What the coordinator remembers about a slice it lent out.
-struct PendingSlice {
-    /// The reserved place in the event order for the quantum-end.
-    res: auros_sim::Reservation,
-    /// Hosting cluster.
-    cluster: ClusterId,
-    /// The process whose machine is out.
-    pid: Pid,
-    /// Run-generation token captured at dispatch.
-    token: u64,
-    /// The work processor charged for the quantum.
-    worker: usize,
-    /// Dispatch time (the quantum-end lands at `started + dispatch cost
-    /// + fuel used`).
-    started: VTime,
 }
 
 impl World {
@@ -390,9 +361,6 @@ impl World {
             pending_server_effects: BTreeMap::new(),
             supervision: crate::supervise::Supervisor::default(),
             events_processed: 0,
-            runner: None,
-            par: ParallelExecutor::new(),
-            lent: BTreeMap::new(),
             cfg,
         };
         w.queue.schedule(VTime::ZERO + w.cfg.costs.poll_interval, Event::PollTick);
@@ -457,110 +425,31 @@ impl World {
     // Run loop
     // ------------------------------------------------------------------
 
-    /// Enables parallel execution: user-process VM slices are handed to
-    /// `runner` instead of executing inline at dispatch. The merged
-    /// event stream, every ledger, and every trace fingerprint are
-    /// byte-identical to the sequential run (`tests/par_equiv.rs` pins
-    /// this as a tier-1 invariant); only wall-clock changes.
-    ///
-    /// Must be called before the first event is processed (the seam is a
-    /// run-wide mode, not a phase).
-    pub fn set_slice_runner(&mut self, runner: Box<dyn SliceRunner>) {
-        assert!(self.lent.is_empty(), "cannot swap runners with slices outstanding");
-        self.runner = Some(runner);
-    }
-
-    /// The conservative lookahead window of this world's configuration:
-    /// the minimum virtual time between a cluster initiating a
-    /// cross-cluster effect and the effect landing anywhere else. See
-    /// [`auros_bus::grant_horizon`]; quoted by benches and DESIGN.md.
-    pub fn lookahead_window(&self) -> Dur {
-        auros_bus::grant_horizon(
-            self.cfg.costs.exec_send,
-            self.cfg.costs.bus_latency,
-            self.cfg.costs.gateway_latency,
-            self.cfg.bus_segment_size != 0,
-        )
-    }
-
-    /// The time of the next event to pop, after resolving every
-    /// outstanding slice whose commit could land at or before it. This
-    /// is the conservative barrier: once it returns, the queue's head is
-    /// stable — no in-flight slice can insert an earlier event.
-    fn next_event_time(&mut self) -> Option<VTime> {
-        if self.runner.is_some() {
-            loop {
-                match (self.queue.peek_time(), self.par.min_lb()) {
-                    (_, None) => break,
-                    (Some(t), Some(lb)) if lb > t => break,
-                    (t_opt, Some(_)) => {
-                        // Jobs due at or before the head (or the queue is
-                        // empty and only commits can refill it). After
-                        // committing, remaining jobs bound strictly above
-                        // the old head, so one more iteration settles.
-                        let jobs = self.par.take_due(t_opt);
-                        self.commit_slices(&jobs);
-                    }
-                }
-            }
-        }
-        self.queue.peek_time()
-    }
-
     /// Processes events until `deadline` (inclusive) or queue exhaustion.
     pub fn run_until(&mut self, deadline: VTime) {
-        while let Some(t) = self.next_event_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event vanished");
-            self.stats.now = now;
-            self.events_processed += 1;
-            self.handle(ev);
+        while self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            self.step();
         }
-        // Settle before handing control back: every remaining commit is a
-        // future event (its lower bound exceeds the last popped time), so
-        // flushing cannot reorder anything — it just makes the observable
-        // state (machines, ledgers, queue) exactly the sequential one.
-        self.flush_all_slices();
     }
 
     /// Steps one event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.next_event_time() {
-            Some(_) => {
-                let (now, ev) = self.queue.pop().expect("peeked event vanished");
-                self.stats.now = now;
-                self.events_processed += 1;
-                self.handle(ev);
-                self.flush_all_slices();
-                true
-            }
-            None => false,
-        }
+        let Some((now, ev)) = self.queue.pop() else {
+            return false;
+        };
+        self.stats.now = now;
+        self.events_processed += 1;
+        self.handle(ev);
+        true
     }
 
     /// Runs until every spawned user process has finished or `deadline`
     /// passes. Returns `true` if all finished.
     pub fn run_to_completion(&mut self, deadline: VTime) -> bool {
-        loop {
-            if self.all_spawned_done() {
-                self.flush_all_slices();
-                return true;
-            }
-            match self.next_event_time() {
-                Some(t) if t <= deadline => {
-                    let (now, ev) = self.queue.pop().expect("peeked event vanished");
-                    self.stats.now = now;
-                    self.events_processed += 1;
-                    self.handle(ev);
-                }
-                _ => {
-                    self.flush_all_slices();
-                    return self.all_spawned_done();
-                }
-            }
+        while !self.all_spawned_done() && self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            self.step();
         }
+        self.all_spawned_done()
     }
 
     /// Whether every spawned process has exited (anywhere) and no forked
@@ -615,7 +504,6 @@ impl World {
     }
 
     fn handle(&mut self, ev: Event) {
-        self.flush_for(&ev);
         match ev {
             Event::BusDeliver { frame, xmit_start, flight } => {
                 self.deliver_frame(frame, xmit_start, flight)
@@ -849,10 +737,10 @@ impl World {
     }
 
     /// Puts one attempt of a tracked frame onto the wire, realizing any
-    /// fault the reservation carries. Fault-free windows schedule exactly
+    /// fault the bus grant carries. Fault-free windows schedule exactly
     /// the one `BusDeliver` the pre-reliability bus scheduled, so clean
     /// runs are event-for-event identical to the perfect-wire model.
-    fn launch_wire(&mut self, flight: u64, frame: Frame, res: Reservation, attempt: u32) {
+    fn launch_wire(&mut self, flight: u64, frame: Frame, res: Grant, attempt: u32) {
         let now = self.now();
         let fault = res.fault;
         let (at, pending) = match fault {
@@ -1438,132 +1326,6 @@ impl World {
     // Scheduling
     // ------------------------------------------------------------------
 
-    // ------------------------------------------------------------------
-    // Deferred slice execution (parallel mode)
-    // ------------------------------------------------------------------
-    //
-    // Safety argument, in full in DESIGN.md §12. Every outstanding slice
-    // has a commit-time lower bound `lb = dispatch time + dispatch cost`,
-    // and `next_event_time` resolves all slices with `lb ≤ head` before
-    // any pop — so when an event at time `now` is handled, every still-
-    // outstanding slice satisfies `lb > now`. The per-event flushes below
-    // exist for the handlers that *observe* slice-affected state early:
-    // machines (sync-record application on delivery), or the exact
-    // work-processor free times (crash accounting, dispatch rescheduling).
-
-    /// Resolves outstanding slices whose effects the handler for `ev`
-    /// could observe, before it runs.
-    fn flush_for(&mut self, ev: &Event) {
-        if self.par.is_empty() {
-            return;
-        }
-        match ev {
-            // Frame delivery can write into a *running* fullback's
-            // machine (sync-record application) and can wake processes
-            // into dispatch on the target clusters.
-            Event::BusDeliver { frame, .. } => {
-                let targets: Vec<ClusterId> = frame.targets.iter().map(|(c, _)| *c).collect();
-                for cid in targets {
-                    self.flush_cluster_slices(cid);
-                }
-            }
-            // The fault family reshapes whole clusters (machines dropped,
-            // snapshots taken, every work processor charged): resolve
-            // everything so the fleet is in its exact sequential state.
-            Event::Crash { .. }
-            | Event::BusFail
-            | Event::DiskHalfFail { .. }
-            | Event::PartialFailure { .. }
-            | Event::Restore { .. }
-            | Event::CrashWorkDone { .. } => self.flush_all_slices(),
-            // Everything else reads no lent machine and no exact worker
-            // free time before `try_dispatch`, which flushes on its own
-            // where it must.
-            _ => {}
-        }
-    }
-
-    /// Commits every outstanding slice. Always safe: all remaining
-    /// commits land strictly after the last popped event.
-    pub(crate) fn flush_all_slices(&mut self) {
-        let jobs = self.par.take_due(None);
-        self.commit_slices(&jobs);
-    }
-
-    /// Commits the outstanding slices of one cluster (partition-local
-    /// resolution: other clusters' slices keep computing).
-    fn flush_cluster_slices(&mut self, cid: ClusterId) {
-        let jobs = self.par.take_partition(cid.0 as u32);
-        self.commit_slices(&jobs);
-    }
-
-    /// Collects finished slices from the runner and commits each
-    /// quantum-end at its reserved sequence number: machine reinstalled,
-    /// work processor's exact free time recorded, busy ledger charged —
-    /// precisely what the sequential dispatch did inline.
-    fn commit_slices(&mut self, jobs: &[u64]) {
-        if jobs.is_empty() {
-            return;
-        }
-        let mut done = Vec::with_capacity(jobs.len());
-        self.runner.as_mut().expect("slices outstanding without a runner").collect(jobs, &mut done);
-        for d in done {
-            let ps = self.lent.remove(&d.job).expect("collected a slice that was not lent");
-            let ci = ps.cluster.0 as usize;
-            let span =
-                self.cfg.costs.dispatch + Dur(d.used.saturating_mul(self.cfg.ticks_per_fuel));
-            let end = ps.started + span;
-            self.clusters[ci]
-                .procs
-                .get_mut(&ps.pid)
-                .expect("lent machine's process vanished")
-                .restore_machine(d.machine);
-            self.clusters[ci].work_free[ps.worker] = end;
-            self.stats.clusters[ci].work_busy += span;
-            self.queue.commit(
-                ps.res,
-                end,
-                Event::QuantumEnd {
-                    cluster: ps.cluster,
-                    pid: ps.pid,
-                    token: ps.token,
-                    exit: d.exit,
-                    used: d.used,
-                },
-            );
-        }
-    }
-
-    /// Hands a user quantum to the slice runner: the quantum-end's place
-    /// in the event order is reserved *here* — the same program point at
-    /// which the sequential path schedules it — so the merged stream is
-    /// identical by construction.
-    fn defer_slice(&mut self, cid: ClusterId, pid: Pid, token: u64, worker: usize, now: VTime) {
-        let ci = cid.0 as usize;
-        let machine = self.clusters[ci].procs.get_mut(&pid).expect("checked above").lend_machine();
-        let res = self.queue.reserve();
-        let job = res.seq();
-        let lb = now + self.cfg.costs.dispatch;
-        // Worker placement follows the bus topology (segment → partition
-        // round-robin); purely a locality hint, never observable.
-        let workers = self.runner.as_ref().map_or(0, |r| r.workers()).max(1) as u32;
-        let affinity = auros_bus::partition_of(cid.0, self.cfg.bus_segment_size, workers);
-        self.par.register(job, lb, cid.0 as u32);
-        self.lent.insert(job, PendingSlice { res, cluster: cid, pid, token, worker, started: now });
-        // Placeholder: the worker is busy at least until `lb`; the exact
-        // free time is written at commit. `free_worker` verdicts are
-        // unaffected because every outstanding slice has `lb > now` at
-        // any event-handling instant.
-        self.clusters[ci].work_free[worker] = lb;
-        let fuel = self.cfg.quantum;
-        self.runner.as_mut().expect("defer_slice without a runner").submit(SliceJob {
-            job,
-            machine,
-            fuel,
-            affinity,
-        });
-    }
-
     /// Dispatches runnable processes onto free work processors.
     pub(crate) fn try_dispatch(&mut self, cid: ClusterId) {
         let now = self.now();
@@ -1577,10 +1339,6 @@ impl World {
             }
             let Some(worker) = self.clusters[ci].free_worker(now) else {
                 if !self.clusters[ci].runnable.is_empty() {
-                    // The reschedule time must be the *exact* earliest
-                    // free instant, and a lent slice's placeholder is only
-                    // a lower bound — resolve this cluster's slices first.
-                    self.flush_cluster_slices(cid);
                     let at = self.clusters[ci].next_worker_free().max(now);
                     self.queue.schedule(at, Event::Dispatch { cluster: cid });
                 }
@@ -1628,8 +1386,6 @@ impl World {
                 self.clusters[ci].work_free[worker] = end;
                 self.stats.clusters[ci].work_busy += span;
                 self.queue.schedule(end, Event::ServerDone { cluster: cid, pid, token });
-            } else if self.runner.is_some() {
-                self.defer_slice(cid, pid, token, worker, now);
             } else {
                 let quantum = self.cfg.quantum;
                 let (exit, used) = self.clusters[ci]

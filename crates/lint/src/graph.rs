@@ -1,18 +1,15 @@
-//! The symbol graph behind the parallel-safety rules (S1–S4).
+//! The symbol graph behind the sharing rules (S1–S4).
 //!
-//! ROADMAP item 2 (deterministic parallel execution) rests on one claim:
-//! clusters interact *only* through the bus (§5.1), so worker threads
-//! owning disjoint cluster sets cannot race. This module turns that claim
-//! from folklore into a checked artifact. From the per-file item lists
-//! produced by [`crate::parse`] it builds a workspace-wide symbol graph:
-//! which named types transitively hold interior mutability (the *taint*
-//! fixpoint), which statics and thread-locals exist per crate, what
-//! payload shape every `Arc<..>` carries, and which `pub` items expose a
-//! tainted type across a crate boundary. The S-rules in
-//! [`crate::rules::RULES`] read their hits off this graph, and the
-//! `parallel_safety.json` certificate (see [`crate::cert`]) serializes
-//! the census so the future parallel executor can consume it as a
-//! machine-checked precondition.
+//! §5.1 makes the bus the only channel between clusters, and the
+//! simulator keeps every cluster's state inside its `World`, so two
+//! `World`s (two test threads, two systems in one host process) never
+//! share mutable state. This module checks that claim. From the per-file
+//! item lists produced by [`crate::parse`] it builds a workspace-wide
+//! symbol graph: which named types transitively hold interior mutability
+//! (the *taint* fixpoint). The S-rules in [`crate::rules::RULES`] read
+//! their hits off this graph: statics and thread-locals, `pub` items that
+//! expose a tainted type across a crate boundary, and `Arc`s whose
+//! payload is tainted.
 
 use std::collections::BTreeMap;
 
@@ -51,9 +48,6 @@ pub fn is_interior_mut(name: &str) -> bool {
 pub struct FileSymbols {
     /// Path label used in diagnostics.
     pub file: String,
-    /// Owning crate name (`kernel` for `crates/kernel/src/..`), or the
-    /// file label itself for ad-hoc single-file runs.
-    pub krate: String,
     /// Parsed items, already filtered to non-`#[cfg(test)]` lines.
     pub items: Vec<Item>,
     /// Wildcard matches over protected enums (rule S4 candidates).
@@ -64,44 +58,11 @@ pub struct FileSymbols {
     pub arc_exprs: Vec<ArcApp>,
 }
 
-/// A symbol's location, for the census and diagnostics.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SymbolRef {
-    /// Path label of the defining file.
-    pub file: String,
-    /// 1-based line of the definition.
-    pub line: u32,
-    /// The symbol name (fields as `Type.field`).
-    pub name: String,
-    /// Short note: the interior-mut root, mutability, or payload head.
-    pub note: String,
-}
-
-/// Per-crate shared-symbol census, serialized into the certificate.
-#[derive(Debug, Default)]
-pub struct CrateCensus {
-    /// Every `static` item (global or function-local).
-    pub statics: Vec<SymbolRef>,
-    /// Every `thread_local!` static.
-    pub thread_locals: Vec<SymbolRef>,
-    /// Names of types defined in this crate that transitively hold
-    /// interior mutability, with the primitive that roots the taint.
-    pub interior_mut_types: Vec<SymbolRef>,
-    /// Plain-`pub` items whose type mentions a tainted name (S2
-    /// candidates, whether violating or waived).
-    pub pub_exposures: Vec<SymbolRef>,
-    /// `Arc` payload heads seen in this crate's types and expressions,
-    /// with occurrence counts.
-    pub arc_payloads: BTreeMap<String, u32>,
-}
-
-/// The workspace symbol graph: taint closure plus per-crate census.
+/// The workspace symbol graph: the taint closure.
 #[derive(Debug, Default)]
 pub struct SymbolGraph {
     /// Tainted type names → the interior-mut primitive rooting the taint.
     pub tainted: BTreeMap<String, String>,
-    /// Census per crate, keyed by crate name.
-    pub crates: BTreeMap<String, CrateCensus>,
 }
 
 impl SymbolGraph {
@@ -122,7 +83,7 @@ impl SymbolGraph {
 }
 
 /// Builds the symbol graph over every deterministic file's symbols: runs
-/// the taint fixpoint, then fills the per-crate census.
+/// the taint fixpoint.
 pub fn build<'a>(files: impl IntoIterator<Item = &'a FileSymbols>) -> SymbolGraph {
     let files: Vec<&FileSymbols> = files.into_iter().collect();
     let mut graph = SymbolGraph::default();
@@ -158,72 +119,6 @@ pub fn build<'a>(files: impl IntoIterator<Item = &'a FileSymbols>) -> SymbolGrap
             break;
         }
     }
-
-    // The census is filled into a local map so taint lookups on `graph`
-    // stay borrowable while a crate's census is mutably held.
-    let mut crates: BTreeMap<String, CrateCensus> = BTreeMap::new();
-    for fs in &files {
-        let census = crates.entry(fs.krate.clone()).or_default();
-        for item in &fs.items {
-            let sym = |name: &str, line: u32, note: String| SymbolRef {
-                file: fs.file.clone(),
-                line,
-                name: name.to_string(),
-                note,
-            };
-            match &item.kind {
-                ItemKind::Static { mutable, ty } => {
-                    let note = match (mutable, graph.type_taint(ty)) {
-                        (true, _) => "mut".to_string(),
-                        (false, Some((_, root))) => format!("interior-mut via {root}"),
-                        (false, None) => "frozen".to_string(),
-                    };
-                    census.statics.push(sym(&item.name, item.line, note));
-                }
-                ItemKind::ThreadLocal { ty } => {
-                    let note = match graph.type_taint(ty) {
-                        Some((_, root)) => format!("interior-mut via {root}"),
-                        None => "frozen".to_string(),
-                    };
-                    census.thread_locals.push(sym(&item.name, item.line, note));
-                }
-                ItemKind::Struct { .. } | ItemKind::Enum { .. } | ItemKind::TypeAlias { .. } => {
-                    if let Some(root) = graph.tainted.get(&item.name) {
-                        census.interior_mut_types.push(sym(
-                            &item.name,
-                            item.line,
-                            format!("via {root}"),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-            for (name, _line, ty) in exposures(item) {
-                if let Some((id, root)) = graph.type_taint(ty) {
-                    census.pub_exposures.push(sym(&name, item.line, format!("{id} via {root}")));
-                }
-            }
-            for ty in item_types(item) {
-                for arc in &ty.arcs {
-                    *census.arc_payloads.entry(arc.head.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-        for arc in &fs.arc_exprs {
-            *census.arc_payloads.entry(arc.head.clone()).or_insert(0) += 1;
-        }
-        // Dedup and order the census lists deterministically.
-        for list in [
-            &mut census.statics,
-            &mut census.thread_locals,
-            &mut census.interior_mut_types,
-            &mut census.pub_exposures,
-        ] {
-            list.sort();
-            list.dedup();
-        }
-    }
-    graph.crates = crates;
 
     graph
 }
@@ -420,28 +315,6 @@ pub fn s_hits(fs: &FileSymbols, graph: &SymbolGraph) -> Vec<(u32, &'static str, 
     hits
 }
 
-/// Derives the owning crate name from a workspace-relative label:
-/// `crates/kernel/src/world.rs` → `kernel`. Ad-hoc labels (single-file
-/// CLI runs, fixtures) fall back to the label itself so census grouping
-/// stays deterministic without inventing a crate.
-pub fn crate_of(label: &str) -> String {
-    let mut parts = label.split('/');
-    if parts.next() == Some("crates") {
-        if let Some(name) = parts.next() {
-            if parts.next() == Some("src") {
-                return name.to_string();
-            }
-        }
-    }
-    format!("({label})")
-}
-
-/// All protected-enum names referenced by any file's S4 scan — exposed so
-/// the certificate can record what the rule protects.
-pub fn protected_enums() -> &'static [&'static str] {
-    PROTECTED_ENUMS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,7 +325,6 @@ mod tests {
         let toks = lex(src).tokens;
         FileSymbols {
             file: file.to_string(),
-            krate: crate_of(file),
             items: parse(&toks),
             matches: crate::parse::wildcard_protected_matches(&toks, PROTECTED_ENUMS),
             arc_exprs: arc_new_exprs(&toks),
@@ -470,22 +342,6 @@ mod tests {
         assert_eq!(g.tainted.get("Inner").map(String::as_str), Some("Cell"));
         assert_eq!(g.tainted.get("Outer").map(String::as_str), Some("Cell"));
         assert_eq!(g.tainted.get("T").map(String::as_str), Some("Cell"));
-    }
-
-    #[test]
-    fn census_counts_statics_and_arcs() {
-        let fs = symbols(
-            "crates/bus/src/bytes.rs",
-            "static COUNT: AtomicU64 = AtomicU64::new(0);\n\
-             pub struct B { buf: Arc<[u8]> }\n\
-             fn f() { let x = Arc::new(Mutex::new(0)); }\n",
-        );
-        let g = build(&[fs]);
-        let c = g.crates.get("bus").expect("bus census");
-        assert_eq!(c.statics.len(), 1);
-        assert!(c.statics[0].note.contains("AtomicU64"));
-        assert_eq!(c.arc_payloads.get("[..]"), Some(&1));
-        assert_eq!(c.arc_payloads.get("Mutex"), Some(&1));
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! Run `cargo run -p auros-lint -- --explain D1` (or any rule id) for the
 //! invariant's full rationale and paper citation.
 
-pub mod cert;
 pub mod graph;
 pub mod lexer;
 pub mod parse;
@@ -48,9 +47,6 @@ pub struct WorkspaceReport {
     pub diagnostics: Vec<Diagnostic>,
     /// All waived violations with their reasons.
     pub waived: Vec<WaivedSite>,
-    /// The workspace symbol graph: taint closure and per-crate census,
-    /// serialized into the parallel-safety certificate.
-    pub graph: graph::SymbolGraph,
 }
 
 /// Folds per-file analyses into a [`WorkspaceReport`]: runs the
@@ -61,12 +57,10 @@ pub fn finish_workspace(analyses: Vec<FileAnalysis>) -> WorkspaceReport {
         det_files: analyses.iter().filter(|a| a.class == CrateClass::Deterministic).count(),
         ..WorkspaceReport::default()
     };
-    let (file_reports, graph) = rules::finish(analyses);
-    for fr in file_reports {
+    for fr in rules::finish(analyses) {
         report.diagnostics.extend(fr.diagnostics);
         report.waived.extend(fr.waived);
     }
-    report.graph = graph;
     report.diagnostics.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report.waived.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report
@@ -75,30 +69,11 @@ pub fn finish_workspace(analyses: Vec<FileAnalysis>) -> WorkspaceReport {
 /// Lints every `.rs` file under `root` (a workspace checkout).
 pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut analyses = Vec::new();
-    let mut h1 = Vec::new();
     for path in walk::collect_rs_files(root)? {
         let rel = path.strip_prefix(root).unwrap_or(&path);
-        let class = walk::classify(rel);
         let label = rel.to_string_lossy().replace('\\', "/");
-        // H1: the threaded slice runner must stay outside the
-        // deterministic zone (see `rules::RULES`). Path classification
-        // is the only place this can be judged, so it is checked here
-        // rather than in the token rules.
-        if label.starts_with("crates/par/src") && class == CrateClass::Deterministic {
-            h1.push(Diagnostic {
-                file: label.clone(),
-                line: 1,
-                rule: "H1",
-                message: "slice-executor file classified sim-deterministic; \
-                          the threaded runner must remain host-side"
-                    .to_string(),
-            });
-        }
         let src = std::fs::read_to_string(&path)?;
-        analyses.push(analyze_source(&label, class, &src));
+        analyses.push(analyze_source(&label, walk::classify(rel), &src));
     }
-    let mut report = finish_workspace(analyses);
-    report.diagnostics.extend(h1);
-    report.diagnostics.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(report)
+    Ok(finish_workspace(analyses))
 }

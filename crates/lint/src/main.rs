@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use auros_lint::{analyze_source, cert, finish_workspace, lint_workspace, rules, CrateClass};
+use auros_lint::{analyze_source, finish_workspace, lint_workspace, rules, CrateClass};
 
 /// `println!` that tolerates a closed stdout (`auros-lint ... | head`):
 /// dropping the tail of a listing is fine, panicking mid-report is not.
@@ -33,8 +33,6 @@ macro_rules! out {
 struct Args {
     deny: bool,
     waivers: bool,
-    json: bool,
-    certificate: Option<PathBuf>,
     root: Option<PathBuf>,
     class: CrateClass,
     explain: Option<String>,
@@ -46,8 +44,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         deny: false,
         waivers: false,
-        json: false,
-        certificate: None,
         root: None,
         class: CrateClass::Deterministic,
         explain: None,
@@ -60,17 +56,6 @@ fn parse_args() -> Result<Args, String> {
             "--deny" => args.deny = true,
             "--waivers" => args.waivers = true,
             "--list-rules" => args.list_rules = true,
-            "--format" => {
-                args.json = match it.next().as_deref() {
-                    Some("json") => true,
-                    Some("text") => false,
-                    other => return Err(format!("--format must be text|json, got {other:?}")),
-                }
-            }
-            "--certificate" => {
-                args.certificate =
-                    Some(PathBuf::from(it.next().ok_or("--certificate needs a path")?))
-            }
             "--root" => args.root = Some(PathBuf::from(it.next().ok_or("--root needs a path")?)),
             "--class" => {
                 args.class = match it.next().as_deref() {
@@ -94,16 +79,12 @@ fn parse_args() -> Result<Args, String> {
 const USAGE: &str = "auros-lint: determinism-invariant static analyzer
 
 USAGE: auros-lint [--deny] [--root DIR] [--class det|host] [--waivers]
-                  [--format text|json] [--certificate PATH]
                   [--explain RULE] [--list-rules] [FILES...]
 
   --deny             exit nonzero if any violation is found
   --root DIR         workspace root (default: search upward from cwd)
   --class C          class for explicitly listed FILES (det|host, default det)
   --waivers          list every waived site with its recorded reason
-  --format F         text (default) or json: the parallel-safety
-                     certificate (schema auros-parallel-safety/v1)
-  --certificate P    also write the certificate JSON to P
   --explain R        print the invariant behind rule R and its paper citation
   --list-rules       one-line summary of every rule";
 
@@ -165,47 +146,35 @@ fn main() -> ExitCode {
         finish_workspace(analyses)
     };
 
-    if let Some(path) = &args.certificate {
-        if let Err(e) = std::fs::write(path, cert::render(&report)) {
-            eprintln!("auros-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+    for d in &report.diagnostics {
+        out!("{d}");
     }
-
-    if args.json {
-        // JSON mode: stdout is exactly the certificate, nothing else.
-        out!("{}", cert::render(&report).trim_end());
-    } else {
-        for d in &report.diagnostics {
-            out!("{d}");
-        }
-        if args.waivers {
-            for w in &report.waived {
-                out!("{}:{}: waived {}: {}", w.file, w.line, w.rule, w.reason);
-            }
-        }
-
-        // Waiver census per rule, always shown: waivers are visible debt.
-        let mut counts: Vec<(&str, usize)> = Vec::new();
+    if args.waivers {
         for w in &report.waived {
-            match counts.iter_mut().find(|(r, _)| *r == w.rule) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((w.rule, 1)),
-            }
+            out!("{}:{}: waived {}: {}", w.file, w.line, w.rule, w.reason);
         }
-        counts.sort();
-        let census = if counts.is_empty() {
-            "no waivers".to_string()
-        } else {
-            counts.iter().map(|(r, n)| format!("{r}×{n}")).collect::<Vec<_>>().join(", ")
-        };
-        out!(
-            "auros-lint: {} files ({} deterministic), {} violation(s), waived: {census}",
-            report.files,
-            report.det_files,
-            report.diagnostics.len()
-        );
     }
+
+    // Waiver census per rule, always shown: waivers are visible debt.
+    let mut counts: Vec<(&str, usize)> = Vec::new();
+    for w in &report.waived {
+        match counts.iter_mut().find(|(r, _)| *r == w.rule) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((w.rule, 1)),
+        }
+    }
+    counts.sort();
+    let census = if counts.is_empty() {
+        "no waivers".to_string()
+    } else {
+        counts.iter().map(|(r, n)| format!("{r}×{n}")).collect::<Vec<_>>().join(", ")
+    };
+    out!(
+        "auros-lint: {} files ({} deterministic), {} violation(s), waived: {census}",
+        report.files,
+        report.det_files,
+        report.diagnostics.len()
+    );
 
     if args.deny && !report.diagnostics.is_empty() {
         return ExitCode::FAILURE;

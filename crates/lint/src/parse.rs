@@ -31,17 +31,6 @@ pub enum Vis {
     Pub,
 }
 
-impl Vis {
-    /// Stable lowercase name for reports and the JSON certificate.
-    pub fn name(self) -> &'static str {
-        match self {
-            Vis::Private => "private",
-            Vis::Crate => "crate",
-            Vis::Pub => "pub",
-        }
-    }
-}
-
 /// A type expression, summarized to what the rules need: the set of path
 /// identifiers it mentions and every `Arc<..>` application inside it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -128,7 +117,7 @@ pub enum ItemKind {
 }
 
 impl ItemKind {
-    /// Stable kind name for reports and the JSON certificate.
+    /// Stable kind name for reports.
     pub fn name(&self) -> &'static str {
         match self {
             ItemKind::Static { .. } => "static",

@@ -157,13 +157,15 @@ add a `TraceKind` variant instead. See DESIGN.md §5.8.",
         explain: "S1 — no mutable global state (`static mut`, statics holding\n\
 interior mutability, `thread_local!`) in sim-deterministic crates.\n\
 \n\
-ROADMAP item 2 (deterministic parallel execution) rests on §5.1's\n\
-architecture: clusters interact *only* through the bus, so worker\n\
-threads owning disjoint cluster sets cannot race. A writable global —\n\
-a `static mut`, a `static` whose type reaches a `Cell`/`Mutex`/\n\
-`Atomic*`, or a `thread_local!` pinning state to an OS thread — is a\n\
-side channel around the bus: two clusters could observe each other\n\
-without a message, and `par_equals_seq` would silently break. All\n\
+§5.1's architecture has clusters interact *only* through the bus, and\n\
+the simulator keeps all of a machine's state inside its `World`, so two\n\
+`World`s — two test threads, two systems in one host process — share\n\
+nothing. A writable global — a `static mut`, a `static` whose type\n\
+reaches a `Cell`/`Mutex`/`Atomic*`, or a `thread_local!` pinning state\n\
+to an OS thread — is a side channel around both: clusters could observe\n\
+each other without a message, and concurrent runs could observe each\n\
+other at all (a process-global payload-allocation counter once made\n\
+`tests/zero_copy.rs` fail whenever another test ran beside it). All\n\
 mutable state must live in the `World`, owned by exactly one cluster.",
     },
     RuleInfo {
@@ -192,7 +194,7 @@ The zero-copy fabric shares one buffer per message precisely because\n\
 the same bytes in every destination queue, and nobody can write to\n\
 them afterwards. An `Arc` of a mutable payload inverts that — it is\n\
 shared *and* writable, the exact shape of cross-cluster state that\n\
-would race under ROADMAP item 2's parallel executor. `SharedBytes`-\n\
+lets one cluster see another's writes without a message. `SharedBytes`-\n\
 style `Arc<[u8]>`, `Arc<str>`, and Arcs of Freeze structs stay legal.",
     },
     RuleInfo {
@@ -208,23 +210,6 @@ compile-time obligation into a silent fall-through: a new fault kind\n\
 that nobody handles, a new trace kind the differ cannot see. Matches\n\
 over the protected enums must enumerate variants (grouping with `|`\n\
 is fine); a genuinely-uniform default needs a waiver saying why.",
-    },
-    RuleInfo {
-        id: "H1",
-        title: "slice-executor crate must be host-classified",
-        explain: "H1 — `crates/par/src` (the threaded slice runner) must classify as\n\
-host-side, never sim-deterministic.\n\
-\n\
-Parallel execution preserves determinism by construction: worker\n\
-threads only ever run pure `Machine::run` slices they own outright,\n\
-and the kernel merges results at `(virtual time, seq)` positions\n\
-reserved before the hand-off. That argument holds precisely because\n\
-the threaded runner lives *outside* the deterministic zone — D2/D3\n\
-keep `std::thread`, `mpsc`, and wall-clock reads out of sim crates,\n\
-and the runner is where they are allowed to live. Classifying the\n\
-executor as deterministic (say, by adding `par` to `DET_CRATES`)\n\
-would be self-contradictory: the zone would contain threads, and\n\
-every D-rule guarantee about replay equivalence would be vacuous.",
     },
     RuleInfo {
         id: "W0",
@@ -288,8 +273,7 @@ pub struct FileAnalysis {
 pub fn analyze_source(file: &str, class: CrateClass, src: &str) -> FileAnalysis {
     let lexed = lexer::lex(src);
     let mut d_hits: Vec<(u32, &'static str, String)> = Vec::new();
-    let mut symbols =
-        FileSymbols { file: file.to_string(), krate: graph::crate_of(file), ..Default::default() };
+    let mut symbols = FileSymbols { file: file.to_string(), ..Default::default() };
     if class == CrateClass::Deterministic {
         let spans = lexer::cfg_test_spans(&lexed.tokens);
         let in_test = |line: u32| spans.iter().any(|(a, b)| (*a..=*b).contains(&line));
@@ -317,9 +301,8 @@ pub fn analyze_source(file: &str, class: CrateClass, src: &str) -> FileAnalysis 
 
 /// Phase two: builds the workspace symbol graph over every deterministic
 /// file, generates the S-rule hits against it, applies waivers, and
-/// produces one [`FileReport`] per input (same order), plus the graph for
-/// the certificate.
-pub fn finish(analyses: Vec<FileAnalysis>) -> (Vec<FileReport>, graph::SymbolGraph) {
+/// produces one [`FileReport`] per input (same order).
+pub fn finish(analyses: Vec<FileAnalysis>) -> Vec<FileReport> {
     let g = graph::build(
         analyses.iter().filter(|a| a.class == CrateClass::Deterministic).map(|a| &a.symbols),
     );
@@ -348,7 +331,7 @@ pub fn finish(analyses: Vec<FileAnalysis>) -> (Vec<FileReport>, graph::SymbolGra
         report.diagnostics.sort_by(|x, y| (x.line, x.rule).cmp(&(y.line, y.rule)));
         reports.push(report);
     }
-    (reports, g)
+    reports
 }
 
 /// Lints one file's source text.
@@ -358,7 +341,7 @@ pub fn finish(analyses: Vec<FileAnalysis>) -> (Vec<FileReport>, graph::SymbolGra
 /// Single-file convenience over [`analyze_source`] + [`finish`]: taint
 /// propagation sees only this file.
 pub fn lint_source(file: &str, class: CrateClass, src: &str) -> FileReport {
-    let (mut reports, _) = finish(vec![analyze_source(file, class, src)]);
+    let mut reports = finish(vec![analyze_source(file, class, src)]);
     reports.pop().unwrap_or_default()
 }
 

@@ -89,13 +89,4 @@ mod tests {
             assert_eq!(classify(Path::new(p)), CrateClass::Host, "{p}");
         }
     }
-
-    /// The threaded slice runner lives host-side by design (rule H1):
-    /// its `std::thread`/`mpsc` use is legal exactly because the path
-    /// classifier keeps it out of the deterministic zone.
-    #[test]
-    fn slice_executor_crate_is_host() {
-        assert_eq!(classify(Path::new("crates/par/src/lib.rs")), CrateClass::Host);
-        assert!(!DET_CRATES.contains(&"par"), "adding `par` to DET_CRATES violates H1");
-    }
 }

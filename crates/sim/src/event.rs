@@ -6,17 +6,14 @@
 //! there is no iteration over hash maps or other incidental ordering
 //! anywhere in the dispatch path.
 //!
-//! The default backend is a hierarchical timing wheel (64-slot levels,
-//! enough levels to cover all of `u64` time), giving O(1) amortized
-//! schedule and pop regardless of how many events are pending — the
-//! property that lets one queue drive a 4096-cluster fleet at the same
-//! per-event cost as a 2-cluster machine. The original `BinaryHeap`
-//! backend is retained behind [`EventQueue::new_heap_oracle`] as a
-//! differential oracle: both backends must produce byte-identical pop
-//! streams, and a property test holds them to it.
+//! The queue is a hierarchical timing wheel (64-slot levels, enough
+//! levels to cover all of `u64` time), giving O(1) amortized schedule and
+//! pop regardless of how many events are pending — the property that lets
+//! one queue drive a 4096-cluster fleet at the same per-event cost as a
+//! 2-cluster machine. The tests hold it to a `BinaryHeap` reference queue:
+//! both must produce byte-identical pop streams.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::time::VTime;
 
@@ -34,53 +31,9 @@ impl ScheduledAt {
     }
 }
 
-/// A reserved place in the event order whose fire time and payload are
-/// not yet known.
-///
-/// [`EventQueue::reserve`] consumes the next sequence number exactly as
-/// [`EventQueue::schedule`] would, so a caller that computes an event's
-/// content asynchronously (the parallel executor's deferred VM slices)
-/// still occupies the same position in the `(time, seq)` total order as
-/// the sequential run that scheduled it on the spot. The reservation is
-/// single-use and must be resolved with [`EventQueue::commit`]; it is
-/// deliberately neither `Clone` nor `Copy`.
-#[derive(Debug)]
-pub struct Reservation {
-    seq: u64,
-}
-
-impl Reservation {
-    /// The sequence number this reservation occupies — the job id the
-    /// merge ledger keys on.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
 struct Entry<E> {
     at: ScheduledAt,
     event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `BinaryHeap` is a max-heap; reverse to pop the earliest event.
-        other.at.cmp(&self.at)
-    }
 }
 
 /// Slot-index width of one wheel level: 64 slots per level.
@@ -106,16 +59,16 @@ fn level_of(cursor: u64, when: u64) -> usize {
 
 /// A hierarchical timing wheel over `(time, seq)`-ordered entries.
 ///
-/// Invariants that make pop order identical to the heap's:
+/// Invariants that make pop order `(time, seq)` order:
 /// - every occupied slot at level `l` has index ≥ the cursor's index at
 ///   that level (earlier slots were drained before the cursor advanced),
 ///   so all level-`l` entries precede all level-`l+1` entries in time;
-/// - every slot deque is kept sorted by `(time, seq)`: cascades deposit
-///   a block's entries before the cursor enters the block (preserving
-///   their sorted order), ordinary inserts append at the back (seq
-///   numbers are issued monotonically), and a committed [`Reservation`]
-///   — whose seq predates entries already in its slot — is placed by a
-///   short backward walk from the tail.
+/// - every slot deque is kept sorted by seq: inserts append at the back
+///   (seq numbers are issued monotonically), and a cascade deposits a
+///   block's entries, in their seq order, into lower levels that are all
+///   empty. A level-0 slot holds a single tick, so there seq order is
+///   `(time, seq)` order; a slot above level 0 spans many ticks and is
+///   only ever drained whole, so its entries' times may interleave.
 struct Wheel<E> {
     /// `LEVELS * SLOTS` deques, level-major.
     slots: Vec<VecDeque<Entry<E>>>,
@@ -163,15 +116,12 @@ impl<E> Wheel<E> {
         } else {
             self.slot_min[idx] = self.slot_min[idx].min(when);
         }
-        // Sorted insertion by (time, seq). The common case — monotone
-        // seq from `schedule` — appends in O(1); a committed reservation
-        // walks back past the (few) later-seq entries that beat it in.
         let deque = &mut self.slots[idx];
-        let mut i = deque.len();
-        while i > 0 && deque[i - 1].at > entry.at {
-            i -= 1;
-        }
-        deque.insert(i, entry);
+        debug_assert!(
+            deque.back().is_none_or(|tail| tail.at.seq < entry.at.seq),
+            "slot entries out of seq order"
+        );
+        deque.push_back(entry);
         self.count += 1;
     }
 
@@ -241,11 +191,6 @@ impl<E> Wheel<E> {
     }
 }
 
-enum Backend<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
 /// A deterministic time-ordered event queue.
 ///
 /// # Examples
@@ -263,11 +208,11 @@ enum Backend<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Wheel<E>,
     next_seq: u64,
     now: VTime,
     /// Sequence numbers of scheduled-but-not-yet-fired events. Cancellation
-    /// is lazy: a cancelled entry stays in its backend and is skipped on
+    /// is lazy: a cancelled entry stays in the wheel and is skipped on
     /// pop. `BTreeSet` per the workspace determinism rule (auros-lint D1) —
     /// membership-only today, but nothing here may invite hasher order.
     pending: BTreeSet<u64>,
@@ -280,27 +225,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at [`VTime::ZERO`], backed by
-    /// the hierarchical timing wheel.
+    /// Creates an empty queue with the clock at [`VTime::ZERO`].
     pub fn new() -> Self {
-        EventQueue {
-            backend: Backend::Wheel(Wheel::new()),
-            next_seq: 0,
-            now: VTime::ZERO,
-            pending: BTreeSet::new(),
-        }
-    }
-
-    /// Creates an empty queue backed by the original `BinaryHeap`. The
-    /// heap is the differential oracle: any (time, seq) pop-order
-    /// disagreement with the wheel is a bug in the wheel.
-    pub fn new_heap_oracle() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-            now: VTime::ZERO,
-            pending: BTreeSet::new(),
-        }
+        EventQueue { wheel: Wheel::new(), next_seq: 0, now: VTime::ZERO, pending: BTreeSet::new() }
     }
 
     /// The current virtual time: the fire time of the most recently popped
@@ -329,42 +256,7 @@ impl<E> EventQueue<E> {
         let at = ScheduledAt { time, seq: self.next_seq };
         self.next_seq += 1;
         self.pending.insert(at.seq);
-        match &mut self.backend {
-            Backend::Wheel(w) => w.insert(Entry { at, event }),
-            Backend::Heap(h) => h.push(Entry { at, event }),
-        }
-        at
-    }
-
-    /// Reserves the next place in the event order without fixing the
-    /// event's time or payload yet.
-    ///
-    /// The reservation counts as pending (for [`EventQueue::len`] /
-    /// [`EventQueue::is_empty`]) from this moment, exactly as a
-    /// `schedule` call here would; resolve it with
-    /// [`EventQueue::commit`] before the queue drains past its eventual
-    /// fire time.
-    pub fn reserve(&mut self) -> Reservation {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq);
-        Reservation { seq }
-    }
-
-    /// Resolves a reservation: the event fires at `time` holding the
-    /// reserved sequence number, so it pops exactly where a `schedule`
-    /// call at reservation time would have placed it.
-    ///
-    /// Committing into the past is a logic error; in debug builds it
-    /// panics, in release builds the event fires at the current time.
-    pub fn commit(&mut self, r: Reservation, time: VTime, event: E) -> ScheduledAt {
-        debug_assert!(time >= self.now, "committing into the past: {time:?} < {:?}", self.now);
-        let time = time.max(self.now);
-        let at = ScheduledAt { time, seq: r.seq };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.insert(Entry { at, event }),
-            Backend::Heap(h) => h.push(Entry { at, event }),
-        }
+        self.wheel.insert(Entry { at, event });
         at
     }
 
@@ -379,10 +271,7 @@ impl<E> EventQueue<E> {
     /// Pops the earliest pending event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(VTime, E)> {
         loop {
-            let entry = match &mut self.backend {
-                Backend::Wheel(w) => w.pop_earliest(),
-                Backend::Heap(h) => h.pop(),
-            }?;
+            let entry = self.wheel.pop_earliest()?;
             if !self.pending.remove(&entry.at.seq) {
                 continue; // Cancelled entry: skip.
             }
@@ -394,13 +283,10 @@ impl<E> EventQueue<E> {
     /// The fire time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<VTime> {
         // Lazy cancellation means the earliest entry may be dead; this is
-        // only used for inspection so a conservative answer is fine. Both
-        // backends answer the same value: the exact minimum time over all
-        // stored entries, cancelled ones included.
-        match &self.backend {
-            Backend::Wheel(w) => w.peek_earliest_time(),
-            Backend::Heap(h) => h.peek().map(|e| e.at.time),
-        }
+        // only used for inspection so a conservative answer is fine: the
+        // exact minimum time over all stored entries, cancelled ones
+        // included.
+        self.wheel.peek_earliest_time()
     }
 }
 
@@ -409,6 +295,56 @@ mod tests {
     use super::*;
     use crate::time::Dur;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference queue the wheel is held to: a `BinaryHeap` over
+    /// `(time, seq)` with the same sequence numbering, clamping and lazy
+    /// cancellation as [`EventQueue`]. Any pop-order disagreement between
+    /// the two is a bug in the wheel.
+    struct HeapQueue<E> {
+        heap: BinaryHeap<Reverse<(ScheduledAt, E)>>,
+        next_seq: u64,
+        now: VTime,
+        pending: BTreeSet<u64>,
+    }
+
+    impl<E: Ord> HeapQueue<E> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                now: VTime::ZERO,
+                pending: BTreeSet::new(),
+            }
+        }
+
+        fn schedule(&mut self, time: VTime, event: E) -> ScheduledAt {
+            let at = ScheduledAt { time: time.max(self.now), seq: self.next_seq };
+            self.next_seq += 1;
+            self.pending.insert(at.seq);
+            self.heap.push(Reverse((at, event)));
+            at
+        }
+
+        fn cancel(&mut self, at: ScheduledAt) -> bool {
+            self.pending.remove(&at.seq)
+        }
+
+        fn pop(&mut self) -> Option<(VTime, E)> {
+            while let Some(Reverse((at, event))) = self.heap.pop() {
+                if self.pending.remove(&at.seq) {
+                    self.now = at.time;
+                    return Some((at.time, event));
+                }
+            }
+            None
+        }
+
+        fn peek_time(&self) -> Option<VTime> {
+            self.heap.peek().map(|Reverse((at, _))| at.time)
+        }
+    }
 
     #[test]
     fn fifo_within_same_tick() {
@@ -476,10 +412,13 @@ mod tests {
 
     /// Far-future times exercise the top wheel levels, including the
     /// partial 11th level where the slot index has only four live bits,
-    /// and multi-level cascades on the way back down.
+    /// and multi-level cascades on the way back down. Scheduling in
+    /// descending time order leaves upper slots (65 before 64) out of
+    /// time order; the cascades must still pop by time.
     #[test]
     fn far_future_and_overflow_buckets() {
         let mut q = EventQueue::new();
+        let mut heap = HeapQueue::new();
         let times = [
             u64::MAX,
             u64::MAX - 1,
@@ -495,11 +434,11 @@ mod tests {
         ];
         for (i, t) in times.iter().enumerate() {
             q.schedule(VTime(*t), i);
+            heap.schedule(VTime(*t), i);
         }
-        let mut sorted: Vec<u64> = times.to_vec();
-        sorted.sort_unstable();
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t.0)).collect();
-        assert_eq!(popped, sorted);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let expected: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+        assert_eq!(popped, expected);
         assert_eq!(q.now(), VTime(u64::MAX));
         // The drained wheel accepts new (same-tick) work at the far edge.
         q.schedule(VTime(u64::MAX), 99usize);
@@ -509,71 +448,19 @@ mod tests {
     #[test]
     fn peek_matches_heap_semantics_including_cancelled() {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::new_heap_oracle();
+        let mut heap = HeapQueue::new();
         let wa = wheel.schedule(VTime(5), "dead");
         let ha = heap.schedule(VTime(5), "dead");
         wheel.schedule(VTime(9), "live");
         heap.schedule(VTime(9), "live");
         wheel.cancel(wa);
         heap.cancel(ha);
-        // Both backends report the cancelled entry's earlier time: peek is
+        // Both queues report the cancelled entry's earlier time: peek is
         // a conservative lower bound under lazy cancellation.
         assert_eq!(wheel.peek_time(), Some(VTime(5)));
         assert_eq!(heap.peek_time(), wheel.peek_time());
         assert_eq!(wheel.pop().map(|(_, e)| e), Some("live"));
         assert_eq!(wheel.peek_time(), None);
-    }
-
-    /// Adversarial merge order: three same-virtual-time cross-partition
-    /// deliveries, committed in every possible worker-arrival order, must
-    /// pop identically — the (vt, tiebreak seq) merge is total and
-    /// stable, so the arrival order of worker results is unobservable.
-    #[test]
-    fn same_tick_commits_merge_by_reservation_order_under_any_arrival() {
-        let arrivals: [[usize; 3]; 6] =
-            [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        for arrival in arrivals {
-            let mut q = EventQueue::new();
-            // Partitions reserve in a fixed program order (seq 0, 1, 2)…
-            let mut rs: Vec<Option<Reservation>> = (0..3).map(|_| Some(q.reserve())).collect();
-            // …but their results arrive in an adversarial order, all for
-            // the same virtual tick.
-            for &i in &arrival {
-                let r = rs[i].take().expect("each reservation commits once");
-                q.commit(r, VTime(40), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![0, 1, 2], "arrival {arrival:?} leaked into the merge");
-        }
-    }
-
-    /// A commit landing exactly at the lookahead horizon — the same tick
-    /// as the earliest already-scheduled event — still merges by seq:
-    /// the reservation (older seq) precedes the later schedule, and a
-    /// younger schedule at the same tick follows it.
-    #[test]
-    fn commit_exactly_at_horizon_boundary_keeps_seq_order() {
-        let mut q = EventQueue::new();
-        let r = q.reserve(); // seq 0
-        q.schedule(VTime(25), "scheduled"); // seq 1: the horizon event
-        q.schedule(VTime(25), "later"); // seq 2
-        q.commit(r, VTime(25), "committed"); // fires at the horizon tick
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(t, e)| (t.0, e))).collect();
-        assert_eq!(order, vec![(25, "committed"), (25, "scheduled"), (25, "later")]);
-    }
-
-    /// Reservations count as pending from reserve time, exactly like the
-    /// sequential schedule they stand in for.
-    #[test]
-    fn reservations_count_as_pending() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let r = q.reserve();
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.commit(r, VTime(7), 1);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((VTime(7), 1)));
-        assert!(q.is_empty());
     }
 
     proptest! {
@@ -598,68 +485,7 @@ mod tests {
             }
         }
 
-        /// Reservation differential oracle: under random interleavings of
-        /// schedules, reservations, out-of-order commits, and pops, the
-        /// wheel and the heap produce identical pop streams — committed
-        /// reservations merge purely by (time, seq), never by backend
-        /// placement or commit order.
-        #[test]
-        fn prop_commit_merge_matches_heap_oracle(
-            ops in proptest::collection::vec((0u8..6, 0u64..5_000, 0usize..32), 1..300),
-        ) {
-            let mut wheel = EventQueue::new();
-            let mut heap = EventQueue::new_heap_oracle();
-            let mut open: Vec<(Reservation, Reservation)> = Vec::new();
-            let mut next_id = 0u64;
-            for (kind, dt, pick) in ops {
-                match kind {
-                    // Schedule an ordinary event at now + dt.
-                    0 | 1 => {
-                        let t = VTime(wheel.now().0.saturating_add(dt));
-                        wheel.schedule(t, next_id);
-                        heap.schedule(t, next_id);
-                        next_id += 1;
-                    }
-                    // Reserve a slot in both queues.
-                    2 => {
-                        let w = wheel.reserve();
-                        let h = heap.reserve();
-                        prop_assert_eq!(w.seq(), h.seq());
-                        open.push((w, h));
-                    }
-                    // Commit an arbitrary outstanding reservation (not
-                    // necessarily the oldest: worker arrival order).
-                    3 | 4 if !open.is_empty() => {
-                        let (w, h) = open.swap_remove(pick % open.len());
-                        let t = VTime(wheel.now().0.saturating_add(dt));
-                        wheel.commit(w, t, next_id);
-                        heap.commit(h, t, next_id);
-                        next_id += 1;
-                    }
-                    // Pop one event.
-                    _ => {
-                        prop_assert_eq!(wheel.pop(), heap.pop());
-                        prop_assert_eq!(wheel.now(), heap.now());
-                    }
-                }
-            }
-            // Resolve stragglers, then drain: full tails must agree.
-            for (w, h) in open {
-                let t = VTime(wheel.now().0 + 1);
-                wheel.commit(w, t, next_id);
-                heap.commit(h, t, next_id);
-                next_id += 1;
-            }
-            loop {
-                let (w, h) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(w, h);
-                if w.is_none() {
-                    break;
-                }
-            }
-        }
-
-        /// Differential oracle: the wheel and the retained heap agree on
+        /// Differential oracle: the wheel and the reference heap agree on
         /// the exact (time, payload) pop stream — and on every peek and
         /// clock reading along the way — under random interleavings of
         /// scheduling, cancellation, and partial draining.
@@ -668,7 +494,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, 0u64..1_000_000, 0usize..64), 1..300),
         ) {
             let mut wheel = EventQueue::new();
-            let mut heap = EventQueue::new_heap_oracle();
+            let mut heap = HeapQueue::new();
             let mut handles: Vec<(ScheduledAt, ScheduledAt)> = Vec::new();
             for (kind, dt, pick) in ops {
                 match kind {
@@ -690,17 +516,17 @@ mod tests {
                     _ => {
                         prop_assert_eq!(wheel.peek_time(), heap.peek_time());
                         prop_assert_eq!(wheel.pop(), heap.pop());
-                        prop_assert_eq!(wheel.now(), heap.now());
+                        prop_assert_eq!(wheel.now(), heap.now);
                     }
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.len(), heap.pending.len());
             }
             // Drain both to the end: the full tail must agree too.
             loop {
                 prop_assert_eq!(wheel.peek_time(), heap.peek_time());
                 let (w, h) = (wheel.pop(), heap.pop());
                 prop_assert_eq!(w, h);
-                prop_assert_eq!(wheel.now(), heap.now());
+                prop_assert_eq!(wheel.now(), heap.now);
                 if w.is_none() {
                     break;
                 }

@@ -19,14 +19,12 @@
 
 pub mod event;
 pub mod metrics;
-pub mod par;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventQueue, Reservation, ScheduledAt};
+pub use event::{EventQueue, ScheduledAt};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use par::ParallelExecutor;
 pub use rng::DetRng;
 pub use time::{Dur, VTime};
 pub use trace::{
