@@ -5,7 +5,9 @@
 //! properties segmentation must preserve: fault transparency across a
 //! segment boundary (a crash mid-conversation leaves the run
 //! digest-equal to its fault-free twin) and result preservation when an
-//! unsegmented scenario is re-run over 1 or k segments.
+//! unsegmented scenario is re-run over 1 or k segments. A last test
+//! pins the scheduler's side of scale: events grow linearly with a
+//! saturated cluster's run queue.
 
 use auros::{programs, RunDigest, System, SystemBuilder, VTime};
 
@@ -88,4 +90,29 @@ fn segmentation_preserves_per_cluster_results() {
     );
     assert_eq!(broadcast.terminals, two_segments.terminals);
     assert_eq!(broadcast.files, two_segments.files);
+}
+
+/// `k` compute loops and a pingpong responder on cluster 0 (two work
+/// processors), the initiator on cluster 1; returns the events stepped.
+fn saturated_events(k: u64) -> u64 {
+    let mut b = SystemBuilder::new(3);
+    for i in 0..k {
+        b.spawn(0, programs::compute_loop(150 + i, 2));
+    }
+    b.spawn(1, programs::pingpong("s", 20, true));
+    b.spawn(0, programs::pingpong("s", 20, false));
+    let mut sys = b.build();
+    assert!(sys.run(DEADLINE), "workload must complete");
+    sys.world.events_processed
+}
+
+/// A saturated cluster keeps at most one `Dispatch` queued per tick, so
+/// the events a run steps grow with the work, not with the square of
+/// the run queue. Quadrupling the queue quadruples the work; a scheduler
+/// that re-posts one `Dispatch` per waiting process grows ~15x instead.
+#[test]
+fn events_grow_linearly_with_the_run_queue() {
+    let small = saturated_events(8);
+    let large = saturated_events(32);
+    assert!(large <= 4 * small, "events grew {large} / {small}: more than linear in the run queue");
 }

@@ -149,6 +149,11 @@ pub struct Cluster {
     pub fullback_held: Vec<PendingFrame>,
     /// End of the current crash-handling window, while one is active.
     pub crash_busy_until: Option<VTime>,
+    /// Fire time of the `Dispatch` event a saturated scheduler queued
+    /// for this cluster, until that tick's event fires. A second one at
+    /// the same tick could do no work, so none is queued. Only the world
+    /// writes it: it must name an event that is still in the queue.
+    pub(crate) dispatch_at: Option<VTime>,
     /// Server locations as known here.
     pub directory: Directory,
     /// Promoted fullbacks awaiting placement answers: pid → dead cluster.
@@ -181,6 +186,7 @@ impl Cluster {
             outgoing_held: VecDeque::new(),
             fullback_held: Vec::new(),
             crash_busy_until: None,
+            dispatch_at: None,
             directory: Directory::default(),
             awaiting_placement: BTreeMap::new(),
             deferred_sends: Vec::new(),
@@ -217,6 +223,12 @@ impl Cluster {
         let pid = self.runnable.pop_front()?;
         self.queued.remove(&pid);
         Some(pid)
+    }
+
+    /// Fire time of the `Dispatch` queued for this cluster, if one is
+    /// pending.
+    pub fn dispatch_at(&self) -> Option<VTime> {
+        self.dispatch_at
     }
 
     /// Whether crash handling currently occupies the work processors.

@@ -515,7 +515,15 @@ impl World {
             Event::ServerTimer { cluster, pid, timer_token } => {
                 self.on_server_timer(cluster, pid, timer_token)
             }
-            Event::Dispatch { cluster } => self.try_dispatch(cluster),
+            Event::Dispatch { cluster } => {
+                // A Dispatch queued for an earlier tick must not clear
+                // the marker of one queued for a later tick.
+                let c = &mut self.clusters[cluster.0 as usize];
+                if c.dispatch_at == Some(self.queue.now()) {
+                    c.dispatch_at = None;
+                }
+                self.try_dispatch(cluster)
+            }
             Event::Wake { cluster, pid } => self.on_wake(cluster, pid),
             Event::Crash { cluster } => self.on_crash(cluster),
             Event::BusFail => self.on_bus_fail(),
@@ -1338,9 +1346,24 @@ impl World {
                 }
             }
             let Some(worker) = self.clusters[ci].free_worker(now) else {
-                if !self.clusters[ci].runnable.is_empty() {
-                    let at = self.clusters[ci].next_worker_free().max(now);
-                    self.queue.schedule(at, Event::Dispatch { cluster: cid });
+                let c = &mut self.clusters[ci];
+                if !c.runnable.is_empty() {
+                    let at = c.next_worker_free().max(now);
+                    // A same-tick re-post would fire, find every worker
+                    // still busy and re-post forever.
+                    debug_assert!(
+                        at > now,
+                        "saturated cluster {} re-posts Dispatch at {at:?}",
+                        cid.0
+                    );
+                    // Only the first Dispatch of a tick can find work: every
+                    // make_runnable site calls try_dispatch itself, a worker
+                    // dispatched at `now` is busy past `now`, and crash
+                    // handling depends on time only.
+                    if c.dispatch_at != Some(at) {
+                        c.dispatch_at = Some(at);
+                        self.queue.schedule(at, Event::Dispatch { cluster: cid });
+                    }
                 }
                 return;
             };

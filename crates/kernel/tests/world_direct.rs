@@ -157,3 +157,48 @@ fn process_state_names_are_stable() {
     let s = format!("{:?}", ProcessState::Runnable);
     assert_eq!(s, "Runnable");
 }
+
+#[test]
+fn dispatch_marker_lifecycle() {
+    // Four processes on two workers: cluster 0 runs saturated.
+    let mut w = World::new(Config { clusters: 3, ..Config::default() });
+    for _ in 0..4 {
+        w.spawn_user(ClusterId(0), reg_program(2_000), BackupMode::Quarterback, None);
+    }
+    let marker = |w: &World| w.clusters[0].dispatch_at();
+    while marker(&w).is_none() {
+        assert!(w.step(), "the run queue outgrows the workers");
+    }
+    // Set where the saturated scheduler queued its Dispatch, for a
+    // later tick.
+    let at = marker(&w).expect("set");
+    assert!(at > w.now());
+
+    // A Dispatch from an earlier tick fires first and leaves it alone.
+    w.queue.schedule(w.now(), Event::Dispatch { cluster: ClusterId(0) });
+    let before = w.events_processed;
+    w.run_until(VTime(at.ticks() - 1));
+    assert!(w.events_processed > before, "the stale Dispatch fired");
+    assert_eq!(marker(&w), Some(at), "a stale Dispatch must not clear a later tick's marker");
+
+    // Its own tick's Dispatch clears it; a re-post sets a later one.
+    w.run_until(at);
+    assert!(marker(&w).is_none_or(|t| t > at), "cleared by its own tick's Dispatch");
+
+    // A crash leaves the dead incarnation's marker in place; a restore
+    // that lands before that Dispatch fires starts without one.
+    let crash_at = w.now() + auros_sim::Dur(1_000);
+    w.queue.schedule(crash_at, Event::Crash { cluster: ClusterId(0) });
+    w.run_until(crash_at);
+    let pending = marker(&w).expect("the crash found cluster 0 saturated");
+    let restore_at = crash_at + auros_sim::Dur(1);
+    assert!(pending > restore_at, "the restore comes before the queued Dispatch");
+    w.queue.schedule(restore_at, Event::Restore { cluster: ClusterId(0) });
+    w.run_until(restore_at);
+    assert!(w.clusters[0].alive);
+    assert_eq!(marker(&w), None, "a restored cluster has no queued Dispatch");
+    // The dead incarnation's Dispatch then fires on the fresh cluster as
+    // a stale event: it finds no marker and an empty run queue.
+    w.run_until(pending);
+    assert_eq!(marker(&w), None);
+}

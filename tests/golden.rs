@@ -8,6 +8,7 @@
 //! those, so only semantic changes or serialization-visible timing
 //! changes touch them.)
 
+use auros::sim::TraceLog;
 use auros::{programs, SystemBuilder, VTime};
 
 const DEADLINE: VTime = VTime(400_000_000);
@@ -61,10 +62,48 @@ fn golden_files_and_terminal() {
     check("files+tty", got, golden::FILES_TTY);
 }
 
+/// More runnable processes than work processors: 32 compute loops and a
+/// pingpong responder share cluster 0's two workers, so the scheduler
+/// runs saturated for the whole run. Pins the run digest, every trace
+/// category's fingerprint and the final tick, so a scheduler change that
+/// moves any dispatch, quantum or message shows here.
+#[test]
+fn golden_saturated_cluster() {
+    let mut b = SystemBuilder::new(3);
+    for i in 0..32 {
+        b.spawn(0, programs::compute_loop(150 + i, 2));
+    }
+    b.spawn(1, programs::pingpong("s", 20, true));
+    b.spawn(0, programs::pingpong("s", 20, false));
+    let mut sys = b.build();
+    sys.world.trace = TraceLog::capture_all();
+    assert!(sys.run(DEADLINE));
+    check("saturated", sys.digest().fingerprint(), golden::SATURATED);
+    assert_eq!(
+        sys.world.trace.fingerprints(),
+        golden::SATURATED_TRACE,
+        "trace fingerprints changed"
+    );
+    assert_eq!(sys.world.now(), golden::SATURATED_END, "final tick changed");
+}
+
 /// The pinned values. Regenerate by running with `--nocapture` after a
 /// deliberate semantic change and copying the printed values.
 mod golden {
     pub const PINGPONG: u64 = 0x9e657baf4eb04ef8;
     pub const BANK: u64 = 0xfd23a4dfb9447524;
     pub const FILES_TTY: u64 = 0x4c87ecd8b8e5dc58;
+    pub const SATURATED: u64 = 0xbff013311a0671c1;
+    pub const SATURATED_TRACE: [u64; 9] = [
+        0x2072a755590c4baa,
+        0xf57fc7e4beee71a6,
+        0x5c37a7bf97176f77,
+        0xb3d2a156732cb261,
+        0x4a420402c76f035a,
+        0,
+        0,
+        0,
+        0,
+    ];
+    pub const SATURATED_END: auros::VTime = auros::VTime(255_000);
 }
