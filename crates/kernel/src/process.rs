@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use auros_bus::proto::{BackupMode, ChanEnd};
+use auros_bus::proto::{BackupMode, ChanEnd, PendingCall};
 use auros_bus::{Fd, Pid, Sig};
 use auros_sim::VTime;
 use auros_vm::Machine;
@@ -41,10 +41,10 @@ impl std::fmt::Debug for ProcessBody {
 ///   counter was put back on the trap (or faulting) instruction; waking
 ///   just makes the process runnable and the call re-executes. A sync
 ///   taken in this state needs no pending-call record.
-/// * **Pending calls** (`Open`, `WriteReply`): the request message
-///   already left the cluster before blocking, so the call must *not*
-///   re-execute; a [`auros_bus::proto::PendingCall`] rides in sync
-///   records and the kernel completes the call from the saved queue.
+/// * **Pending calls** (`Pending`): the request message already left the
+///   cluster before blocking, so the call must *not* re-execute; the
+///   [`PendingCall`] rides in sync records and the kernel completes the
+///   call from the saved queue.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BlockState {
     /// Blocked in `read` on one channel (reads are always synchronous,
@@ -70,49 +70,16 @@ pub enum BlockState {
         /// The channel concerned.
         end: ChanEnd,
     },
-    /// Blocked in `open`, awaiting the file server's open reply (§7.4.1).
-    /// Pending call.
-    Open {
-        /// The fd that will be bound.
-        fd: Fd,
-    },
-    /// Blocked awaiting a server reply to a sent request (§7.5.1).
-    /// Pending call.
-    WriteReply {
-        /// The channel awaiting its reply.
-        end: ChanEnd,
-        /// Guest buffer for reply data (file reads), if any.
-        buf: u64,
-        /// Capacity of that buffer.
-        cap: u64,
-    },
+    /// Blocked in `open` awaiting the file server's open reply (§7.4.1),
+    /// or awaiting a server reply to a sent request (§7.5.1).
+    Pending(PendingCall),
     /// A promoted fullback waiting for its new backup to exist before it
     /// may begin executing (§7.3).
-    AwaitBackup,
-}
-
-impl BlockState {
-    /// The pending-call record for a sync taken in this state, if one is
-    /// needed.
-    pub fn pending_call(&self) -> Option<auros_bus::proto::PendingCall> {
-        match self {
-            BlockState::Open { fd } => Some(auros_bus::proto::PendingCall::Open { fd: *fd }),
-            BlockState::WriteReply { end, buf, cap } => {
-                Some(auros_bus::proto::PendingCall::WriteReply { end: *end, buf: *buf, cap: *cap })
-            }
-            _ => None,
-        }
-    }
-
-    /// Rebuilds the block state from a pending-call record (promotion).
-    pub fn from_pending(p: &auros_bus::proto::PendingCall) -> BlockState {
-        match p {
-            auros_bus::proto::PendingCall::Open { fd } => BlockState::Open { fd: *fd },
-            auros_bus::proto::PendingCall::WriteReply { end, buf, cap } => {
-                BlockState::WriteReply { end: *end, buf: *buf, cap: *cap }
-            }
-        }
-    }
+    AwaitBackup {
+        /// The call the process was promoted in, resumed once the new
+        /// backup exists; `None` resumes it runnable.
+        then: Option<PendingCall>,
+    },
 }
 
 /// Scheduling state of a process.
@@ -199,12 +166,6 @@ pub struct Pcb {
     pub children: Vec<Pid>,
     /// Parent pid, if forked.
     pub parent: Option<Pid>,
-    /// True while the process is rolling forward after promotion; used
-    /// for trace/statistics only — suppression itself is per-entry.
-    pub recovering: bool,
-    /// For a promoted fullback gated on `AwaitBackup`: the block state to
-    /// restore once the new backup exists.
-    pub resume_after_backup: Option<BlockState>,
     /// When the current quantum started (for ledgers).
     pub quantum_start: VTime,
     /// When the current blocked wait began, if blocked.
@@ -233,8 +194,6 @@ pub struct Pcb {
     /// table + queue transfer) because a fresh backup is being created
     /// at a new cluster (§7.10.1 step 3, halfback re-protection).
     pub rebuild_pending: bool,
-    /// True once an exit/cleanup notice has been sent.
-    pub cleaned_up: bool,
 }
 
 impl Pcb {
@@ -258,8 +217,6 @@ impl Pcb {
             fork_count: 0,
             children: Vec::new(),
             parent: None,
-            recovering: false,
-            resume_after_backup: None,
             quantum_start: VTime::ZERO,
             wait_from: None,
             total_wait: auros_sim::Dur::ZERO,
@@ -271,7 +228,6 @@ impl Pcb {
             nondet_replay: std::collections::VecDeque::new(),
             checkpoint_debt: auros_sim::Dur::ZERO,
             rebuild_pending: false,
-            cleaned_up: false,
         }
     }
 
@@ -350,17 +306,5 @@ mod tests {
         assert_eq!(BackupStatus::Deferred { cluster: ClusterId(1) }.cluster(), Some(ClusterId(1)));
         assert_eq!(BackupStatus::At(ClusterId(2)).cluster(), Some(ClusterId(2)));
         assert_eq!(BackupStatus::None.cluster(), None);
-    }
-
-    #[test]
-    fn pending_call_round_trip() {
-        let end = ChanEnd { channel: ChannelId(1), side: Side::A };
-        assert!(BlockState::Page { page: auros_vm::PageNo(0) }.pending_call().is_none());
-        assert!(BlockState::Read { end }.pending_call().is_none());
-        let wr = BlockState::WriteReply { end, buf: 64, cap: 128 };
-        let p = wr.pending_call().unwrap();
-        assert_eq!(BlockState::from_pending(&p), wr);
-        let op = BlockState::Open { fd: Fd(3) };
-        assert_eq!(BlockState::from_pending(&op.pending_call().unwrap()), op);
     }
 }
