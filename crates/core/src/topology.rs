@@ -12,7 +12,7 @@ use crate::System;
 pub fn render(sys: &System) -> String {
     let mut out = String::new();
     let n = sys.world.cfg.clusters;
-    let w = sys.world.cfg.work_processors;
+    let w = auros_kernel::config::WORK_PROCESSORS;
     out.push_str(&format!("Auragen 4000 — {n} processor clusters on a dual intercluster bus\n\n"));
     out.push_str("  ═════════════════ intercluster bus A ═════════════════\n");
     out.push_str("  ───────────────── intercluster bus B ─────────────────\n");
@@ -85,7 +85,7 @@ pub fn facts(sys: &System) -> TopologyFacts {
     }
     TopologyFacts {
         clusters: sys.world.cfg.clusters,
-        work_processors: sys.world.cfg.work_processors,
+        work_processors: auros_kernel::config::WORK_PROCESSORS,
         dual_bus: true,
         devices: sys.world.devices.len(),
         server_pairs,

@@ -19,6 +19,7 @@ use auros_bus::{ClusterId, DeliveryTag, Pid};
 use auros_sim::{Loc, TraceKind};
 use auros_vm::{PageNo, Snapshot, PAGE_SIZE};
 
+use crate::config::cost;
 use crate::world::World;
 
 /// A full data-space image: the checkpoint payload.
@@ -77,10 +78,10 @@ impl World {
         };
         let bytes = image.wire_size();
         // The primary is blocked for the duration of the copy (§2).
-        let cost = self.cfg.costs.copy(bytes);
-        self.stats.clusters[ci].work_busy += cost;
+        let copy = cost::copy(bytes);
+        self.stats.clusters[ci].work_busy += copy;
         if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
-            pcb.checkpoint_debt += cost;
+            pcb.checkpoint_debt += copy;
         }
         self.stats.clusters[ci].checkpoints += 1;
         let now = self.now();

@@ -109,7 +109,7 @@ pub struct WorldStats {
     /// Protocol-level retransmissions (ack-timeout- or NAK-driven; bus
     /// failover retransmissions stay in `frames_retransmitted`).
     pub proto_retransmits: u64,
-    /// Frames given up on after `max_retransmits` attempts.
+    /// Frames given up on after `MAX_RETRANSMITS` attempts.
     pub frames_abandoned: u64,
     /// Frames the link layer suppressed as already-consumed duplicates.
     pub dup_suppressed: u64,

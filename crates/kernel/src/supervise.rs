@@ -22,6 +22,7 @@ use auros_bus::ClusterId;
 use auros_bus::{MsgId, Payload, Pid};
 use auros_sim::{Dur, Loc, TraceKind, VTime};
 
+use crate::config::{RESTART_BACKOFF, RESTART_WINDOW};
 use crate::world::{Event, World};
 
 /// One quarantined message's ledger entry: who it killed, what it
@@ -185,11 +186,10 @@ impl World {
     /// exponential backoff.
     pub(crate) fn supervised_promote(&mut self, cid: ClusterId, pid: Pid, dead: ClusterId) {
         let now = self.now();
-        let window = self.cfg.restart_window;
         let budget = self.cfg.restart_budget as usize;
         let verdict = {
             let history = self.supervision.restarts.entry(pid).or_default();
-            history.retain(|&t| t + window > now);
+            history.retain(|&t| t + RESTART_WINDOW > now);
             if history.len() >= budget {
                 Err(history.len() as u64)
             } else {
@@ -209,7 +209,7 @@ impl World {
             }
             Ok(restart) => {
                 let delay = if restart >= 2 {
-                    self.cfg.restart_backoff.saturating_mul(1u64 << (restart - 2).min(6))
+                    RESTART_BACKOFF.saturating_mul(1u64 << (restart - 2).min(6))
                 } else {
                     Dur::ZERO
                 };

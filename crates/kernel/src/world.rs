@@ -22,7 +22,9 @@ use auros_sim::trace::RetryWhy;
 use auros_sim::{Dur, EventQueue, Loc, MetricsRegistry, TraceKind, TraceLog, VTime};
 
 use crate::cluster::{Cluster, PendingFrame};
-use crate::config::Config;
+use crate::config::{
+    cost, Config, MAX_RETRANSMITS, QUARANTINE_AFTER, TICKS_PER_FUEL, WORK_PROCESSORS,
+};
 use crate::process::ProcessState;
 use crate::routing::{BackupEntry, Entry, Queued};
 use crate::server::Device;
@@ -334,10 +336,10 @@ impl World {
     pub fn new(cfg: Config) -> World {
         cfg.validate().expect("invalid configuration");
         let clusters =
-            (0..cfg.clusters).map(|i| Cluster::new(ClusterId(i), cfg.work_processors)).collect();
+            (0..cfg.clusters).map(|i| Cluster::new(ClusterId(i), WORK_PROCESSORS)).collect();
         let mut w = World {
             queue: EventQueue::new(),
-            bus: BusFabric::new(cfg.clusters, cfg.bus_segment_size, cfg.costs.gateway_latency),
+            bus: BusFabric::new(cfg.clusters, cfg.bus_segment_size, cost::GATEWAY_LATENCY),
             clusters,
             stats: WorldStats::new(cfg.clusters),
             trace: TraceLog::new(),
@@ -363,7 +365,7 @@ impl World {
             events_processed: 0,
             cfg,
         };
-        w.queue.schedule(VTime::ZERO + w.cfg.costs.poll_interval, Event::PollTick);
+        w.queue.schedule(VTime::ZERO + cost::POLL_INTERVAL, Event::PollTick);
         for i in 0..w.cfg.clusters {
             let at = VTime::ZERO + w.cfg.costs.report_interval;
             w.queue.schedule(at, Event::ReportTick { cluster: ClusterId(i) });
@@ -679,9 +681,9 @@ impl World {
             return;
         }
         // Executive takes the frame from the outgoing queue…
-        let exec_ready = self.clusters[ci].exec_free.max(ready_at) + self.cfg.costs.exec_send;
+        let exec_ready = self.clusters[ci].exec_free.max(ready_at) + cost::EXEC_SEND;
         self.clusters[ci].exec_free = exec_ready;
-        self.stats.clusters[ci].exec_busy += self.cfg.costs.exec_send;
+        self.stats.clusters[ci].exec_busy += cost::EXEC_SEND;
         self.stats.clusters[ci].frames_sent += 1;
         // …stamps it with link sequence numbers and the header
         // checksum, and transmits it once over the intercluster bus.
@@ -689,7 +691,7 @@ impl World {
         let seqs = self.links.stamp(cid.0, frame.targets.iter().map(|(c, _)| c.0));
         frame.seal(seqs);
         let bytes = frame.wire_size();
-        let xmit = self.cfg.costs.bus_xmit(bytes);
+        let xmit = cost::bus_xmit(bytes);
         let targets = frame.targets.iter().map(|(c, _)| c.0);
         match self.bus.reserve_routed(cid.0, targets, exec_ready, xmit, bytes) {
             Some(res) => {
@@ -761,7 +763,7 @@ impl World {
             }
             Some(WireFault::Drop) => {
                 self.stats.wire_drops += 1;
-                let timeout = res.deliver_at + self.cfg.costs.ack_timeout;
+                let timeout = res.deliver_at + cost::ACK_TIMEOUT;
                 self.queue.schedule(timeout, Event::RetryTimeout { flight, attempt });
                 (None, false)
             }
@@ -786,7 +788,7 @@ impl World {
                     Event::BusDeliver { frame, xmit_start: res.start, flight },
                 );
                 self.queue.schedule(
-                    res.deliver_at + self.cfg.costs.dup_lag,
+                    res.deliver_at + cost::DUP_LAG,
                     Event::BusDeliver { frame: dup, xmit_start: res.start, flight },
                 );
                 (Some(at), true)
@@ -800,7 +802,7 @@ impl World {
                 // A delay beyond the ack timeout is indistinguishable
                 // from a drop at the sender: the timer may fire first and
                 // retransmit; the late original is then dup-suppressed.
-                let timeout = res.deliver_at + self.cfg.costs.ack_timeout;
+                let timeout = res.deliver_at + cost::ACK_TIMEOUT;
                 self.queue.schedule(timeout, Event::RetryTimeout { flight, attempt });
                 (Some(at), true)
             }
@@ -824,12 +826,12 @@ impl World {
         }
     }
 
-    /// Benches the active bus if it has produced `quarantine_after`
+    /// Benches the active bus if it has produced `QUARANTINE_AFTER`
     /// consecutive faulted windows and a healthy standby exists.
     fn maybe_quarantine(&mut self) {
         let now = self.now();
         let Some(active) = self.bus.active() else { return };
-        if self.bus.consecutive_faults(active) < self.cfg.quarantine_after {
+        if self.bus.consecutive_faults(active) < QUARANTINE_AFTER {
             return;
         }
         if let Some(survivor) = self.bus.quarantine(active, now) {
@@ -839,13 +841,13 @@ impl World {
                 Loc::World,
                 TraceKind::BusQuarantined {
                     bus: active.into(),
-                    after: self.cfg.quarantine_after as u64,
+                    after: QUARANTINE_AFTER as u64,
                     survivor: survivor.into(),
                 },
             );
             if !self.probing {
                 self.probing = true;
-                self.queue.schedule(now + self.cfg.costs.probe_interval, Event::BusProbe);
+                self.queue.schedule(now + cost::PROBE_INTERVAL, Event::BusProbe);
             }
         }
     }
@@ -876,12 +878,12 @@ impl World {
         let Some(inf) = self.in_flight.get(&flight) else { return };
         let (frame, bytes, attempt) = (inf.frame.clone(), inf.bytes, inf.attempt);
         let next = attempt + 1;
-        if next > self.cfg.max_retransmits {
+        if next > MAX_RETRANSMITS {
             self.abandon_flight(flight, why);
             return;
         }
-        let backoff = self.cfg.costs.retransmit_backoff.saturating_mul(1u64 << attempt.min(6));
-        let xmit = self.cfg.costs.bus_xmit(bytes);
+        let backoff = cost::RETRANSMIT_BACKOFF.saturating_mul(1u64 << attempt.min(6));
+        let xmit = cost::bus_xmit(bytes);
         let src = frame.src_cluster.0;
         let targets = frame.targets.iter().map(|(c, _)| c.0);
         match self.bus.reserve_retry_routed(src, targets, now + backoff, xmit, bytes) {
@@ -951,7 +953,7 @@ impl World {
             }
         }
         if still_benched {
-            self.queue.schedule(now + self.cfg.costs.probe_interval, Event::BusProbe);
+            self.queue.schedule(now + cost::PROBE_INTERVAL, Event::BusProbe);
         } else {
             self.probing = false;
         }
@@ -987,7 +989,7 @@ impl World {
                     // (scheduled, dropped-awaiting-timer, or a corrupt
                     // copy en route): repeat it on the survivor. Bumping
                     // the attempt invalidates any stale timer or NAK.
-                    let xmit = self.cfg.costs.bus_xmit(bytes);
+                    let xmit = cost::bus_xmit(bytes);
                     let src = frame.src_cluster.0;
                     let targets = frame.targets.iter().map(|(c, _)| c.0);
                     let Some(res) = self.bus.reserve_retry_routed(src, targets, now, xmit, bytes)
@@ -1062,8 +1064,7 @@ impl World {
             if let Some(inf) = self.in_flight.get(&flight) {
                 let attempt = inf.attempt;
                 self.stats.naks += 1;
-                self.queue
-                    .schedule(now + self.cfg.costs.nak_latency, Event::Nak { flight, attempt });
+                self.queue.schedule(now + cost::NAK_LATENCY, Event::Nak { flight, attempt });
             }
             return;
         }
@@ -1136,7 +1137,7 @@ impl World {
             }
             // Receipt and distribution are handled by the executive
             // processor; work processors are not affected (§8.1).
-            let recv = self.cfg.costs.exec_recv;
+            let recv = cost::EXEC_RECV;
             let c = &mut self.clusters[ci];
             c.exec_free = c.exec_free.max(now) + recv;
             self.stats.clusters[ci].exec_busy += recv;
@@ -1319,9 +1320,8 @@ impl World {
         let ci = cid.0 as usize;
         let c = &mut self.clusters[ci];
         c.routing.backup_or_insert_with(init.end, || BackupEntry::from_init(init));
-        let cost = self.cfg.costs.exec_backup_maintenance;
-        c.exec_free = c.exec_free.max(self.queue.now()) + cost;
-        self.stats.clusters[ci].exec_busy += cost;
+        c.exec_free = c.exec_free.max(self.queue.now()) + cost::EXEC_BACKUP_MAINTENANCE;
+        self.stats.clusters[ci].exec_busy += cost::EXEC_BACKUP_MAINTENANCE;
     }
 
     /// Creates a primary routing entry described by `init`.
@@ -1417,8 +1417,7 @@ impl World {
                     .and_then(|p| p.machine_mut())
                     .map(|m| m.run(quantum))
                     .expect("user process has a machine");
-                let span =
-                    self.cfg.costs.dispatch + Dur(used.saturating_mul(self.cfg.ticks_per_fuel));
+                let span = cost::DISPATCH + Dur(used.saturating_mul(TICKS_PER_FUEL));
                 let end = now + span;
                 self.clusters[ci].work_free[worker] = end;
                 self.stats.clusters[ci].work_busy += span;
@@ -1483,7 +1482,7 @@ impl World {
             self.trace.emit(now, Loc::Cluster(d.0), TraceKind::CrashDetected { dead: d.0 });
             self.announce_crash(d);
         }
-        self.queue.schedule(now + self.cfg.costs.poll_interval, Event::PollTick);
+        self.queue.schedule(now + cost::POLL_INTERVAL, Event::PollTick);
     }
 
     pub(crate) fn unannounce_restored(&mut self, cid: ClusterId) {
