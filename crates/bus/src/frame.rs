@@ -91,11 +91,6 @@ impl Frame {
         8 + self.targets.len() * 8 + self.msg.wire_size()
     }
 
-    /// The clusters this frame is addressed to, in header order.
-    pub fn target_clusters(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        self.targets.iter().map(|(c, _)| *c)
-    }
-
     /// Asserts the structural invariant: at most one `Primary` tag.
     pub fn check_invariants(&self) -> Result<(), String> {
         let primaries =

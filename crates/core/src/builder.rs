@@ -61,13 +61,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Uses §2's explicit-checkpointing strategy instead of the message
-    /// system (the E3 comparator).
-    pub fn with_checkpointing(&mut self) -> &mut Self {
-        self.cfg.strategy = auros_kernel::config::FtStrategy::Checkpoint;
-        self
-    }
-
     /// Sets the default backup mode for spawned processes (§7.3).
     pub fn default_mode(&mut self, mode: BackupMode) -> &mut Self {
         self.cfg.default_mode = mode;

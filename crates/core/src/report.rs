@@ -154,12 +154,6 @@ pub fn render(sys: &System) -> String {
     out
 }
 
-/// Renders the full metrics registry — every published counter and
-/// histogram, one per line, byte-stable across identical runs.
-pub fn render_metrics(sys: &System) -> String {
-    sys.metrics().render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

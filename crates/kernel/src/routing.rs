@@ -459,11 +459,6 @@ impl RoutingTable {
         self.primary.iter_mut()
     }
 
-    /// All live entries' values.
-    pub fn primary_values(&self) -> impl Iterator<Item = &Entry> {
-        self.primary.values()
-    }
-
     // -- backup side ----------------------------------------------------
 
     /// The backup entry for `end`, if any.

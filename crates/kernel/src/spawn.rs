@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use auros_bus::proto::{BackupMode, ChanKind, KernelState, ServiceKind, SharedImage};
+use auros_bus::proto::{BackupMode, ChanKind, KernelState, SharedImage};
 use auros_bus::{ClusterId, Fd, Pid};
 use auros_vm::Program;
 
@@ -292,16 +292,5 @@ impl World {
             backup,
             None,
         )
-    }
-}
-
-/// The service kind behind a server role, for channel inits.
-pub fn service_of_role(role: ServerRole) -> Option<ServiceKind> {
-    match role {
-        ServerRole::Fs => Some(ServiceKind::File),
-        ServerRole::Tty => Some(ServiceKind::Tty),
-        ServerRole::Raw => Some(ServiceKind::Raw),
-        ServerRole::Proc => Some(ServiceKind::Proc),
-        ServerRole::Pager => None,
     }
 }

@@ -988,18 +988,6 @@ impl TraceLog {
         TraceLog { capture_all: true, cap, ..TraceLog::default() }
     }
 
-    /// Bounds (or unbounds, with 0) the ring without touching enablement
-    /// or already-captured events beyond trimming to the new capacity.
-    pub fn set_ring(&mut self, cap: usize) {
-        self.cap = cap;
-        if cap > 0 {
-            while self.events.len() > cap {
-                self.events.pop_front();
-                self.evicted += 1;
-            }
-        }
-    }
-
     /// Enables capture of one category.
     pub fn enable(&mut self, cat: TraceCategory) {
         self.enabled |= cat.bit();

@@ -184,11 +184,6 @@ impl Machine {
         self.fuel_used
     }
 
-    /// Whether the machine has halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Mutable access to guest memory (for the kernel's copyin/copyout
     /// and page installation).
     pub fn memory_mut(&mut self) -> &mut PagedMemory {
