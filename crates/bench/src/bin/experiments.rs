@@ -11,11 +11,10 @@ fn main() {
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv output directory");
     }
-    println!("auros experiment harness — reproducing the paper's evaluation");
-    println!("(Figure 1 is regenerated by `cargo run --example quickstart`)");
-    for (i, table) in auros_bench::all().into_iter().enumerate() {
-        println!("{table}");
-        if let Some(dir) = &csv_dir {
+    let tables = auros_bench::all();
+    print!("{}", auros_bench::report(&tables));
+    if let Some(dir) = &csv_dir {
+        for (i, table) in tables.iter().enumerate() {
             let path = format!("{dir}/e{:02}.csv", i + 1);
             std::fs::write(&path, table.to_csv()).expect("write csv");
             eprintln!("wrote {path}");

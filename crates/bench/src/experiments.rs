@@ -530,6 +530,20 @@ pub fn all() -> Vec<Table> {
     ]
 }
 
+/// The harness's printed output: a two-line header, then each table
+/// followed by a blank line. EXPERIMENTS.md quotes it verbatim under
+/// "Raw tables".
+pub fn report(tables: &[Table]) -> String {
+    let mut out = String::from(
+        "auros experiment harness — reproducing the paper's evaluation\n\
+         (Figure 1 is regenerated by `cargo run --example quickstart`)\n",
+    );
+    for table in tables {
+        out.push_str(&format!("{table}\n"));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
