@@ -787,6 +787,41 @@ fn second_crash_of_the_fresh_backup_host_is_survivable() {
 }
 
 #[test]
+fn second_crash_of_the_reprotected_primary_resends_nothing() {
+    // Crash A promotes the fullback writer on cluster 3 and re-protects
+    // it on cluster 0 (§7.3). From then on every write must also reach
+    // the new backup, which counts it; a later crash of cluster 3 then
+    // suppresses exactly the writes already sent (§5.4) and the file
+    // holds each chunk once. With every read a sync trigger disabled,
+    // the whole post-promotion stream rides on those counts.
+    let build = |crashes: &[(u64, u16)]| {
+        let mut b = SystemBuilder::new(5);
+        b.config_mut().sync_max_reads = 0;
+        b.spawn_with_mode(2, programs::file_writer("/f", 30, 64), BackupMode::Fullback);
+        for (at, victim) in crashes {
+            b.crash_at(VTime(*at), *victim);
+        }
+        b.build()
+    };
+    let mut clean = build(&[]);
+    assert!(clean.run(DEADLINE));
+
+    // Probe run: at the second crash the writer runs on cluster 3 with
+    // its fresh backup on cluster 0.
+    let mut probe = build(&[(500, 2)]);
+    probe.run_until(VTime(8_526));
+    let writer = probe.pids[0];
+    assert!(probe.world.clusters[3].procs.get(&writer).is_some_and(|p| !p.is_dead()));
+    assert!(probe.world.clusters[0].backups.contains_key(&writer), "re-protected on c0");
+
+    let mut sys = build(&[(500, 2), (8_526, 3)]);
+    assert!(sys.run(DEADLINE), "double crash with re-protection in between");
+    let file_len = |s: &mut auros::System| s.file_contents("/f").map(|f| f.len());
+    assert_eq!(file_len(&mut clean), file_len(&mut sys), "each chunk written once");
+    assert_eq!(clean.digest(), sys.digest());
+}
+
+#[test]
 fn rapid_second_crash_before_reprotection_is_reported() {
     // The second crash lands on the fullback's backup host *before*
     // re-protection completes: both copies are gone, which is outside
