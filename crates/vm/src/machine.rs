@@ -342,7 +342,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::inst::regs::*;
-    use crate::mem::PAGE_SIZE;
+    use crate::mem::{MAX_PAGE, PAGE_SIZE};
 
     fn run_to_halt(m: &mut Machine) -> u64 {
         loop {
@@ -562,6 +562,136 @@ mod tests {
         assert!(used >= 10, "compute overshoot is billed");
         let (exit, _) = m.run(1000);
         assert_eq!(exit, Exit::Halted);
+    }
+
+    /// Makes page `p` valid but not resident, so the first touch faults.
+    fn paged_out(m: &mut Machine, p: u32) {
+        m.memory_mut().write_u64(p as u64 * PAGE_SIZE as u64, 1);
+        m.memory_mut().evict(PageNo(p));
+    }
+
+    /// The `run` contract, one row per exit kind: each row runs a program
+    /// with the given quanta in turn and pins `(exit, used, pc(),
+    /// fuel_used())` after every run. A page fault is serviced with a
+    /// zeroed page before the next run.
+    #[test]
+    fn run_contract_table() {
+        use Inst::*;
+        // (fuel, exit, used, pc, fuel_used) per run.
+        type Row = (u64, Exit, u64, u32, u64);
+        type Case = (&'static str, Vec<Inst>, fn(&mut Machine), Vec<Row>);
+        let bad_addr = MAX_PAGE as u64 * PAGE_SIZE as u64;
+        let cases: Vec<Case> = vec![
+            (
+                "fuel out between instructions",
+                vec![Li(R0, 1), Li(R0, 2), Li(R0, 3), Halt],
+                |_| {},
+                vec![(2, Exit::FuelOut, 2, 2, 2), (10, Exit::Halted, 2, 4, 4)],
+            ),
+            (
+                "compute overshoots the quantum",
+                vec![Compute(500), Halt],
+                |_| {},
+                vec![(10, Exit::FuelOut, 501, 1, 501), (10, Exit::Halted, 1, 2, 502)],
+            ),
+            (
+                "page fault on load charges and re-executes",
+                vec![Li(R1, 0), Load(R0, R1, 0), Halt],
+                |m| paged_out(m, 0),
+                vec![(100, Exit::PageFault(PageNo(0)), 3, 1, 3), (100, Exit::Halted, 3, 3, 6)],
+            ),
+            (
+                "page fault on store charges and re-executes",
+                vec![Li(R1, 2048), Li(R2, 7), Store(R1, R2, 0), Halt],
+                |m| paged_out(m, 2),
+                vec![(100, Exit::PageFault(PageNo(2)), 4, 2, 4), (100, Exit::Halted, 3, 4, 7)],
+            ),
+            (
+                "bad address on load",
+                vec![Li(R1, u64::MAX - 2), Load(R0, R1, 0)],
+                |_| {},
+                vec![(100, Exit::Fault(VmError::BadAddress(u64::MAX - 2)), 3, 1, 3)],
+            ),
+            (
+                "bad address on store",
+                vec![Li(R1, bad_addr), Store(R1, R0, 8)],
+                |_| {},
+                vec![(100, Exit::Fault(VmError::BadAddress(bad_addr + 8)), 3, 1, 3)],
+            ),
+            (
+                "jmp past len",
+                vec![Jmp(2)],
+                |_| {},
+                vec![(100, Exit::Fault(VmError::BadPc(2)), 1, 0, 1)],
+            ),
+            (
+                "jnz past len",
+                vec![Li(R1, 1), Jnz(R1, 3)],
+                |_| {},
+                vec![(100, Exit::Fault(VmError::BadPc(3)), 2, 1, 2)],
+            ),
+            (
+                "jz past len",
+                vec![Jz(R1, 2)],
+                |_| {},
+                vec![(100, Exit::Fault(VmError::BadPc(2)), 1, 0, 1)],
+            ),
+            (
+                "jump to exactly len halts on the next fetch",
+                vec![Jmp(1)],
+                |_| {},
+                vec![(100, Exit::Halted, 1, 1, 1), (100, Exit::Halted, 0, 1, 1)],
+            ),
+            (
+                "trap moves past the trap",
+                vec![Trap(Sys::GetPid), Halt],
+                |_| {},
+                vec![(100, Exit::Trap(Sys::GetPid), 1, 1, 1), (100, Exit::Halted, 1, 2, 2)],
+            ),
+            (
+                "stray sigreturn moves past it before the fault",
+                vec![Trap(Sys::SigReturn)],
+                |_| {},
+                vec![(100, Exit::Fault(VmError::StraySigReturn), 1, 1, 1)],
+            ),
+            (
+                "sigreturn resumes the saved pc",
+                vec![Li(R1, 1), Halt, Li(R2, 7), Trap(Sys::SigReturn)],
+                |m| assert!(m.enter_signal_handler(2)),
+                vec![
+                    (2, Exit::FuelOut, 2, 0, 2),
+                    (100, Exit::Halted, 2, 2, 4),
+                    (100, Exit::Halted, 0, 2, 4),
+                ],
+            ),
+            (
+                "halt",
+                vec![Halt, Li(R0, 1)],
+                |_| {},
+                vec![(100, Exit::Halted, 1, 1, 1), (100, Exit::Halted, 0, 1, 1)],
+            ),
+            (
+                "falling off the end",
+                vec![Li(R0, 3)],
+                |_| {},
+                vec![(100, Exit::Halted, 1, 1, 1), (100, Exit::Halted, 0, 1, 1)],
+            ),
+        ];
+        for (name, insts, prep, rows) in cases {
+            let mut m = Machine::new(Program::new(name, insts));
+            prep(&mut m);
+            for (i, &(fuel, exit, used, pc, fuel_used)) in rows.iter().enumerate() {
+                let got = m.run(fuel);
+                assert_eq!(
+                    (got.0, got.1, m.pc(), m.fuel_used()),
+                    (exit, used, pc, fuel_used),
+                    "{name}: run {i}"
+                );
+                if let Exit::PageFault(p) = got.0 {
+                    m.memory_mut().install(p, Box::new([0u8; PAGE_SIZE]));
+                }
+            }
+        }
     }
 
     #[test]
