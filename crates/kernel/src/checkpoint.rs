@@ -70,7 +70,7 @@ impl World {
                 .valid_pages()
                 .iter()
                 .filter_map(|p| {
-                    m.memory().read_page(*p).map(|d| (*p, std::sync::Arc::new(*d) as PageBlob))
+                    m.memory().page(*p).map(|d| (*p, std::sync::Arc::new(*d) as PageBlob))
                 })
                 .collect();
             let image = CheckpointImage { snapshot: m.snapshot(), pages };

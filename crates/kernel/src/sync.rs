@@ -94,9 +94,7 @@ impl World {
                             // by construction; if paging state were ever
                             // degraded, skipping the page beats
                             // panicking mid-sync.
-                            .filter_map(|p| {
-                                Some((*p, std::sync::Arc::new(*m.memory().read_page(*p)?)))
-                            })
+                            .filter_map(|p| Some((*p, std::sync::Arc::new(*m.memory().page(*p)?))))
                             .collect();
                         m.memory_mut().clean_all();
                         blobs

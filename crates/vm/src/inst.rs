@@ -188,9 +188,9 @@ impl Program {
         &self.name
     }
 
-    /// The instruction at `pc`, or `None` past the end.
-    pub fn fetch(&self, pc: u32) -> Option<Inst> {
-        self.insts.get(pc as usize).copied()
+    /// The program text, indexed by pc.
+    pub fn insts(&self) -> &[Inst] {
+        &self.insts
     }
 
     /// Number of instructions.
@@ -217,8 +217,8 @@ mod tests {
     #[test]
     fn fetch_in_and_out_of_bounds() {
         let p = Program::new("t", vec![Inst::Halt]);
-        assert_eq!(p.fetch(0), Some(Inst::Halt));
-        assert_eq!(p.fetch(1), None);
+        assert_eq!(p.insts().first(), Some(&Inst::Halt));
+        assert_eq!(p.insts().get(1), None);
         assert_eq!(p.len(), 1);
         assert!(!p.is_empty());
     }

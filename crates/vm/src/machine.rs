@@ -121,18 +121,12 @@ impl Machine {
     /// a backup) installs pages on demand as the guest faults on them,
     /// exactly as §7.10.2 describes.
     pub fn restore(program: Program, snap: &Snapshot) -> Machine {
-        let mut memory = PagedMemory::new();
-        for page in &snap.valid_pages {
-            // Mark valid without contents; first access will fault.
-            memory.install(*page, Box::new([0u8; crate::mem::PAGE_SIZE]));
-        }
-        memory.drop_residency();
         Machine {
             program,
             regs: snap.regs,
             pc: snap.pc,
             sig_stack: snap.sig_stack.clone(),
-            memory,
+            memory: PagedMemory::non_resident(snap.valid_pages.clone()),
             fuel_used: snap.fuel_used,
             halted: false,
         }
@@ -211,130 +205,122 @@ impl Machine {
 
     /// Runs until `fuel` is exhausted or the guest stops.
     ///
-    /// Returns the exit reason and the fuel actually consumed. Memory
-    /// faults leave `pc` on the faulting instruction so it re-executes
-    /// after the kernel installs the page.
+    /// Returns the exit reason and the fuel actually consumed, which is
+    /// also added to [`Self::fuel_used`]. Fuel is checked before every
+    /// instruction and charged 1 per instruction, plus 1 for `Load` and
+    /// `Store` and `n` for `Compute(n)`, so a quantum may overshoot by the
+    /// last instruction's cost. The charge stands even when the
+    /// instruction stops the run. On exit the program counter is:
+    ///
+    /// * on the next instruction after [`Exit::FuelOut`];
+    /// * on the faulting `Load`/`Store` after [`Exit::PageFault`], which
+    ///   re-executes (and is charged again) once the kernel installs the
+    ///   page;
+    /// * on the faulting instruction after [`VmError::BadAddress`] and
+    ///   [`VmError::BadPc`], a jump past the end of the text (a jump to
+    ///   exactly its end halts on the next fetch);
+    /// * past the trap after [`Exit::Trap`] and after a stray `SigReturn`;
+    ///   a `SigReturn` with a frame resumes the saved pc and runs on;
+    /// * past `Halt`, or at the end of the text, after [`Exit::Halted`].
+    ///   Every later run of a halted machine returns `(Halted, 0)`.
     pub fn run(&mut self, fuel: u64) -> (Exit, u64) {
-        if self.halted {
+        use Inst::*;
+        let Machine { program, regs, pc: saved_pc, sig_stack, memory, fuel_used, halted } = self;
+        if *halted {
             return (Exit::Halted, 0);
         }
+        let insts = program.insts();
+        let mut pc = *saved_pc;
         let mut used: u64 = 0;
-        loop {
+        let exit = loop {
             if used >= fuel {
-                return (Exit::FuelOut, self.charge(used));
+                break Exit::FuelOut;
             }
-            let inst = match self.program.fetch(self.pc) {
-                Some(i) => i,
-                None => {
-                    self.halted = true;
-                    return (Exit::Halted, self.charge(used));
-                }
+            let Some(&inst) = insts.get(pc as usize) else {
+                *halted = true;
+                break Exit::Halted;
             };
-            let at = self.pc;
-            match self.step(inst, &mut used) {
-                StepResult::Continue => {}
-                StepResult::Stop(exit) => {
-                    if let Exit::PageFault(_) = exit {
-                        self.pc = at; // Re-execute after page installation.
-                    }
-                    if exit == Exit::Halted {
-                        self.halted = true;
-                    }
-                    return (exit, self.charge(used));
+            used += 1;
+            match inst {
+                Li(d, imm) => regs[d.0 as usize] = imm,
+                Mov(d, s) => regs[d.0 as usize] = regs[s.0 as usize],
+                Add(d, a, b) => {
+                    regs[d.0 as usize] = regs[a.0 as usize].wrapping_add(regs[b.0 as usize])
                 }
-            }
-        }
-    }
-
-    fn charge(&mut self, used: u64) -> u64 {
-        self.fuel_used += used;
-        used
-    }
-
-    fn step(&mut self, inst: Inst, used: &mut u64) -> StepResult {
-        use Inst::*;
-        *used += 1;
-        let next = self.pc + 1;
-        match inst {
-            Li(d, imm) => self.regs[d.0 as usize] = imm,
-            Mov(d, s) => self.regs[d.0 as usize] = self.reg(s),
-            Add(d, a, b) => self.regs[d.0 as usize] = self.reg(a).wrapping_add(self.reg(b)),
-            Sub(d, a, b) => self.regs[d.0 as usize] = self.reg(a).wrapping_sub(self.reg(b)),
-            Mul(d, a, b) => self.regs[d.0 as usize] = self.reg(a).wrapping_mul(self.reg(b)),
-            Xor(d, a, b) => self.regs[d.0 as usize] = self.reg(a) ^ self.reg(b),
-            And(d, a, b) => self.regs[d.0 as usize] = self.reg(a) & self.reg(b),
-            Or(d, a, b) => self.regs[d.0 as usize] = self.reg(a) | self.reg(b),
-            Addi(d, s, imm) => self.regs[d.0 as usize] = self.reg(s).wrapping_add(imm as u64),
-            Ltu(d, a, b) => self.regs[d.0 as usize] = u64::from(self.reg(a) < self.reg(b)),
-            Eq(d, a, b) => self.regs[d.0 as usize] = u64::from(self.reg(a) == self.reg(b)),
-            Load(d, s, off) => {
-                *used += 1;
-                let addr = self.reg(s).wrapping_add(off as u64);
-                match self.memory.read_u64(addr) {
-                    Ok(v) => self.regs[d.0 as usize] = v,
-                    Err(Access::Fault(p)) => return StepResult::Stop(Exit::PageFault(p)),
-                    Err(_) => return StepResult::Stop(Exit::Fault(VmError::BadAddress(addr))),
+                Sub(d, a, b) => {
+                    regs[d.0 as usize] = regs[a.0 as usize].wrapping_sub(regs[b.0 as usize])
                 }
-            }
-            Store(d, s, off) => {
-                *used += 1;
-                let addr = self.reg(d).wrapping_add(off as u64);
-                match self.memory.write_u64(addr, self.reg(s)) {
-                    Access::Ok => {}
-                    Access::Fault(p) => return StepResult::Stop(Exit::PageFault(p)),
-                    Access::OutOfRange(_) => {
-                        return StepResult::Stop(Exit::Fault(VmError::BadAddress(addr)))
+                Mul(d, a, b) => {
+                    regs[d.0 as usize] = regs[a.0 as usize].wrapping_mul(regs[b.0 as usize])
+                }
+                Xor(d, a, b) => regs[d.0 as usize] = regs[a.0 as usize] ^ regs[b.0 as usize],
+                And(d, a, b) => regs[d.0 as usize] = regs[a.0 as usize] & regs[b.0 as usize],
+                Or(d, a, b) => regs[d.0 as usize] = regs[a.0 as usize] | regs[b.0 as usize],
+                Addi(d, s, imm) => regs[d.0 as usize] = regs[s.0 as usize].wrapping_add(imm as u64),
+                Ltu(d, a, b) => {
+                    regs[d.0 as usize] = u64::from(regs[a.0 as usize] < regs[b.0 as usize])
+                }
+                Eq(d, a, b) => {
+                    regs[d.0 as usize] = u64::from(regs[a.0 as usize] == regs[b.0 as usize])
+                }
+                Load(d, s, off) => {
+                    used += 1;
+                    let addr = regs[s.0 as usize].wrapping_add(off as u64);
+                    match memory.read_u64(addr) {
+                        Ok(v) => regs[d.0 as usize] = v,
+                        Err(Access::Fault(p)) => break Exit::PageFault(p),
+                        Err(_) => break Exit::Fault(VmError::BadAddress(addr)),
                     }
                 }
-            }
-            Jmp(t) => return self.branch(t),
-            Jnz(r, t) => {
-                if self.reg(r) != 0 {
-                    return self.branch(t);
+                Store(d, s, off) => {
+                    used += 1;
+                    let addr = regs[d.0 as usize].wrapping_add(off as u64);
+                    match memory.write_u64(addr, regs[s.0 as usize]) {
+                        Access::Ok => {}
+                        Access::Fault(p) => break Exit::PageFault(p),
+                        Access::OutOfRange(_) => break Exit::Fault(VmError::BadAddress(addr)),
+                    }
                 }
-            }
-            Jz(r, t) => {
-                if self.reg(r) == 0 {
-                    return self.branch(t);
-                }
-            }
-            Compute(n) => *used += n as u64,
-            Trap(sys) => {
-                self.pc = next;
-                if sys == Sys::SigReturn {
-                    return match self.sig_stack.pop() {
-                        // `SigReturn` is handled entirely in the machine:
-                        // control transfers back without kernel help.
-                        Some(ret) => {
-                            self.pc = ret;
-                            StepResult::Continue
-                        }
-                        None => StepResult::Stop(Exit::Fault(VmError::StraySigReturn)),
+                Jmp(t) | Jnz(_, t) | Jz(_, t) => {
+                    let taken = match inst {
+                        Jnz(c, _) => regs[c.0 as usize] != 0,
+                        Jz(c, _) => regs[c.0 as usize] == 0,
+                        _ => true,
                     };
+                    if taken {
+                        if t as usize > insts.len() {
+                            break Exit::Fault(VmError::BadPc(t));
+                        }
+                        pc = t;
+                        continue;
+                    }
                 }
-                return StepResult::Stop(Exit::Trap(sys));
+                Compute(n) => used += n as u64,
+                Trap(sys) => {
+                    pc += 1;
+                    if sys != Sys::SigReturn {
+                        break Exit::Trap(sys);
+                    }
+                    // `SigReturn` is handled entirely in the machine:
+                    // control transfers back without kernel help.
+                    match sig_stack.pop() {
+                        Some(ret) => pc = ret,
+                        None => break Exit::Fault(VmError::StraySigReturn),
+                    }
+                    continue;
+                }
+                Halt => {
+                    pc += 1;
+                    *halted = true;
+                    break Exit::Halted;
+                }
             }
-            Halt => {
-                self.pc = next;
-                return StepResult::Stop(Exit::Halted);
-            }
-        }
-        self.pc = next;
-        StepResult::Continue
+            pc += 1;
+        };
+        *saved_pc = pc;
+        *fuel_used += used;
+        (exit, used)
     }
-
-    fn branch(&mut self, target: u32) -> StepResult {
-        if (target as usize) > self.program.len() {
-            return StepResult::Stop(Exit::Fault(VmError::BadPc(target)));
-        }
-        self.pc = target;
-        StepResult::Continue
-    }
-}
-
-enum StepResult {
-    Continue,
-    Stop(Exit),
 }
 
 #[cfg(test)]
@@ -475,7 +461,7 @@ mod tests {
         let snap = primary.snapshot();
         let mut account = std::collections::BTreeMap::new();
         for page in primary.memory().valid_pages().clone() {
-            account.insert(page, primary.memory().read_page(page).unwrap());
+            account.insert(page, Box::new(*primary.memory().page(page).unwrap()));
         }
         let mut backup = Machine::restore(p, &snap);
         let got = loop {

@@ -66,6 +66,12 @@ impl PagedMemory {
         PagedMemory { resident: BTreeMap::new(), valid: BTreeSet::new() }
     }
 
+    /// An address space of `valid` pages with none resident, so the first
+    /// touch of each faults: a promoted backup's memory (§7.10.2).
+    pub fn non_resident(valid: BTreeSet<PageNo>) -> PagedMemory {
+        PagedMemory { resident: BTreeMap::new(), valid }
+    }
+
     /// The page containing `addr`, or `None` if out of range.
     pub fn page_of(addr: u64) -> Option<PageNo> {
         let page = addr / PAGE_SIZE as u64;
@@ -98,9 +104,9 @@ impl PagedMemory {
         self.resident.iter().filter(|(_, r)| r.dirty).map(|(p, _)| *p).collect()
     }
 
-    /// Copies out a resident page's contents.
-    pub fn read_page(&self, page: PageNo) -> Option<PageData> {
-        self.resident.get(&page).map(|r| r.data.clone())
+    /// A resident page's contents.
+    pub fn page(&self, page: PageNo) -> Option<&[u8; PAGE_SIZE]> {
+        self.resident.get(&page).map(|r| &*r.data)
     }
 
     /// Marks every resident page clean (after its contents were sent to
@@ -216,18 +222,38 @@ impl PagedMemory {
         Access::Ok
     }
 
+    /// The resident page holding all 8 bytes at `addr`, and their offset
+    /// in it; `None` sends the access down the general path.
+    fn word(&mut self, addr: u64) -> Option<(&mut Resident, usize)> {
+        let off = (addr % PAGE_SIZE as u64) as usize;
+        if off + 8 > PAGE_SIZE {
+            return None;
+        }
+        let page = Self::page_of(addr)?;
+        self.resident.get_mut(&page).map(|r| (r, off))
+    }
+
     /// Reads a little-endian u64.
     pub fn read_u64(&mut self, addr: u64) -> Result<u64, Access> {
         let mut buf = [0u8; 8];
-        match self.read(addr, &mut buf) {
-            Access::Ok => Ok(u64::from_le_bytes(buf)),
-            fault => Err(fault),
+        match self.word(addr) {
+            Some((r, off)) => buf.copy_from_slice(&r.data[off..off + 8]),
+            None => match self.read(addr, &mut buf) {
+                Access::Ok => {}
+                fault => return Err(fault),
+            },
         }
+        Ok(u64::from_le_bytes(buf))
     }
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Access {
-        self.write(addr, &value.to_le_bytes())
+        let Some((r, off)) = self.word(addr) else {
+            return self.write(addr, &value.to_le_bytes());
+        };
+        r.data[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        r.dirty = true;
+        Access::Ok
     }
 
     /// Ensures all pages covered by `[addr, addr+len)` are resident,
@@ -320,6 +346,44 @@ mod tests {
         assert_eq!(m.resident_count(), 0);
         assert_eq!(m.valid_pages(), &valid_before);
         assert_eq!(m.read_u64(0), Err(Access::Fault(PageNo(0))));
+    }
+
+    #[test]
+    fn non_resident_is_valid_and_faults_on_first_touch() {
+        let valid: BTreeSet<PageNo> = [PageNo(0), PageNo(4)].into();
+        let mut m = PagedMemory::non_resident(valid.clone());
+        assert_eq!(m.valid_pages(), &valid);
+        assert_eq!(m.resident_count(), 0);
+        assert_eq!(m.read_u64(4 * PAGE_SIZE as u64), Err(Access::Fault(PageNo(4))));
+        assert_eq!(m.write_u64(8, 1), Access::Fault(PageNo(0)));
+        // A page outside the valid set is still first-touch allocated.
+        assert_eq!(m.write_u64(PAGE_SIZE as u64, 1), Access::Ok);
+        assert_eq!(m.dirty_pages(), vec![PageNo(1)]);
+    }
+
+    #[test]
+    fn straddle_into_non_resident_page_faults_without_touching_the_first() {
+        let mut m = PagedMemory::new();
+        let edge = PAGE_SIZE as u64 - 4;
+        assert_eq!(m.write_u64(edge - 8, u64::MAX), Access::Ok);
+        assert_eq!(m.write_u64(PAGE_SIZE as u64, 1), Access::Ok);
+        m.evict(PageNo(1));
+        m.clean_all();
+        let before = *m.page(PageNo(0)).unwrap();
+        assert_eq!(m.write_u64(edge, 7), Access::Fault(PageNo(1)));
+        assert_eq!(m.read_u64(edge), Err(Access::Fault(PageNo(1))));
+        assert_eq!(m.page(PageNo(0)).unwrap(), &before);
+        assert!(m.dirty_pages().is_empty(), "a faulting write dirties nothing");
+    }
+
+    #[test]
+    fn access_ending_past_max_page_is_out_of_range() {
+        let mut m = PagedMemory::new();
+        let last = MAX_PAGE as u64 * PAGE_SIZE as u64 - 4;
+        assert!(matches!(m.write_u64(last, 1), Access::OutOfRange(_)));
+        assert!(matches!(m.read_u64(last), Err(Access::OutOfRange(_))));
+        assert_eq!(m.resident_count(), 0, "nothing is allocated for a rejected access");
+        assert_eq!(m.write_u64(last - 4, 1), Access::Ok, "the last whole word is in range");
     }
 
     #[test]

@@ -28,8 +28,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (r.clone(), r.clone(), r.clone()).prop_map(|(d, a, b)| Op::Add(d, a, b)),
         (r.clone(), r.clone(), r.clone()).prop_map(|(d, a, b)| Op::Mul(d, a, b)),
         (r.clone(), r.clone(), r.clone()).prop_map(|(d, a, b)| Op::Xor(d, a, b)),
-        (0u16..6000, r.clone()).prop_map(|(addr, src)| Op::Store { addr: addr & !7, src }),
-        (0u16..6000, r).prop_map(|(addr, dst)| Op::Load { addr: addr & !7, dst }),
+        (0u16..6000, r.clone()).prop_map(|(addr, src)| Op::Store { addr, src }),
+        (0u16..6000, r).prop_map(|(addr, dst)| Op::Load { addr, dst }),
         (1u16..40).prop_map(Op::Compute),
     ]
 }
@@ -126,7 +126,7 @@ proptest! {
         let account: BTreeMap<PageNo, auros_vm::PageData> = snap
             .valid_pages
             .iter()
-            .filter_map(|p| primary.memory().read_page(*p).map(|d| (*p, d)))
+            .filter_map(|p| primary.memory().page(*p).map(|d| (*p, Box::new(*d))))
             .collect();
 
         // Backup restores with no pages resident and demand-faults.
