@@ -10,9 +10,10 @@
 //! its `perfbench/` is built there offline, with its own
 //! `CARGO_TARGET_DIR`. Only committed files take part: `--head HEAD`
 //! ignores uncommitted changes. The tool then runs `--pairs` pairs of
-//! `--trace 0` runs per workload, alternating which revision goes first,
-//! and prints for each end-to-end metric the median head/base ratio over
-//! the pairs, the pairs head won (in the direction the head's
+//! `--trace 0` runs per workload (10 unless given), alternating which
+//! revision goes first, and prints for each end-to-end metric each
+//! side's median and quartiles, the median head/base ratio over the
+//! pairs, the pairs head won (in the direction the head's
 //! `BENCHMARK.json` declares) and a two-sided sign-test p-value.
 //!
 //! Virtual time must not move: the tool exits 1 if any run's `correct`,
@@ -26,7 +27,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: auros-ab --base <rev> --head <rev> [--pairs N] [--workload NAME]... \
          [--seconds S] [--seed N]\n\
-         Workloads default to every one in the head's BENCHMARK.json."
+         Defaults: 10 pairs of 5 s runs at seed 1 of every workload in the head's \
+         BENCHMARK.json."
     );
     ExitCode::from(2)
 }
@@ -44,7 +46,7 @@ fn parse(mut args: impl Iterator<Item = String>) -> Option<Opts> {
     let mut o = Opts {
         base: String::new(),
         head: String::new(),
-        pairs: 5,
+        pairs: 10,
         workloads: Vec::new(),
         seconds: "5".into(),
         seed: "1".into(),
@@ -289,6 +291,7 @@ fn run(rev: &Rev, workload: &str, o: &Opts) -> Result<Run, String> {
     };
     let text = |v: &Json| match v {
         Json::Num(n) => n.clone(),
+        Json::Bool(b) => b.to_string(),
         other => format!("{other:?}"),
     };
     let mut exact: Vec<(String, String)> = ["correct", "attempted", "failed"]
@@ -323,14 +326,18 @@ fn sign_test(wins: usize, losses: usize) -> f64 {
     (2.0 * tail / 2f64.powi(n as i32)).min(1.0)
 }
 
-fn median(mut v: Vec<f64>) -> f64 {
+/// The `q`-quantile of `v`, interpolating between neighbours.
+fn quantile(mut v: Vec<f64>, q: f64) -> f64 {
     v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
+    let x = q * (v.len() - 1) as f64;
+    let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+}
+
+/// Median and quartiles, as `median (q1–q3)`.
+fn spread(v: Vec<f64>) -> String {
+    let q = |p| num(quantile(v.clone(), p));
+    format!("{} ({}–{})", q(0.5), q(0.25), q(0.75))
 }
 
 fn num(v: f64) -> String {
@@ -428,8 +435,13 @@ fn compare(
         &head.sha[..12]
     );
     println!(
-        "{:<20} {:>14} {:>14} {:>10} {:>6} {:>7}  per-pair head/base",
-        "metric", "base median", "head median", "head/base", "wins", "sign p"
+        "{:<18} {:>32} {:>32} {:>9} {:>6} {:>7}  per-pair head/base",
+        "metric",
+        "base median (quartiles)",
+        "head median (quartiles)",
+        "head/base",
+        "wins",
+        "sign p"
     );
     for (name, _) in &pairs[0].0.metrics {
         let value = |r: &Run| r.metrics.iter().find(|(n, _)| n == name).map_or(f64::NAN, |m| m.1);
@@ -445,11 +457,11 @@ fn compare(
         };
         let shown: Vec<String> = ratios.iter().map(|r| format!("{r:.2}")).collect();
         println!(
-            "{:<20} {:>14} {:>14} {:>10.3} {:>6} {:>7.3}  [{}]",
+            "{:<18} {:>32} {:>32} {:>9.3} {:>6} {:>7.3}  [{}]",
             name,
-            num(median(pairs.iter().map(|(b, _)| value(b)).collect())),
-            num(median(pairs.iter().map(|(_, h)| value(h)).collect())),
-            median(ratios.clone()),
+            spread(pairs.iter().map(|(b, _)| value(b)).collect()),
+            spread(pairs.iter().map(|(_, h)| value(h)).collect()),
+            quantile(ratios, 0.5),
             if direction.is_some() { format!("{wins}/{}", o.pairs) } else { "-".into() },
             sign_test(wins, losses),
             shown.join(", ")
@@ -511,6 +523,15 @@ mod tests {
         assert_eq!(m.get("vt_x").and_then(|v| v.get("unit")).and_then(Json::str), Some("u"));
         assert!(Json::parse("{\"a\": 1,}").is_none());
         assert!(Json::parse("[1, 2] x").is_none());
+    }
+
+    #[test]
+    fn quantiles_interpolate() {
+        let v = vec![4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantile(v.clone(), 0.5), 2.5);
+        assert_eq!(quantile(v.clone(), 0.25), 1.75);
+        assert_eq!(quantile(v, 1.0), 4.0);
+        assert_eq!(quantile(vec![7.0], 0.75), 7.0);
     }
 
     #[test]
