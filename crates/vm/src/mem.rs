@@ -150,10 +150,8 @@ impl PagedMemory {
             .map(|(p, r)| (*p, r.dirty))
     }
 
-    /// Drops every resident page without recording contents.
-    ///
-    /// Used when building a backup image: the backup has no pages resident
-    /// and demand-faults its address space in after promotion (§7.10.2).
+    /// Drops every resident page without recording contents; the valid
+    /// set is kept, so the next touch of each page faults.
     pub fn drop_residency(&mut self) {
         self.resident.clear();
     }
