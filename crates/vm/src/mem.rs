@@ -150,12 +150,6 @@ impl PagedMemory {
             .map(|(p, r)| (*p, r.dirty))
     }
 
-    /// Drops every resident page without recording contents; the valid
-    /// set is kept, so the next touch of each page faults.
-    pub fn drop_residency(&mut self) {
-        self.resident.clear();
-    }
-
     fn ensure_for_write(&mut self, page: PageNo) -> Access {
         if self.resident.contains_key(&page) {
             return Access::Ok;
@@ -332,18 +326,6 @@ mod tests {
         m.install(PageNo(0), data);
         assert_eq!(m.read_u64(0).unwrap(), 42);
         assert!(m.dirty_pages().is_empty(), "installed pages are clean");
-    }
-
-    #[test]
-    fn drop_residency_preserves_valid_set() {
-        let mut m = PagedMemory::new();
-        m.write_u64(0, 1);
-        m.write_u64(5000, 2);
-        let valid_before = m.valid_pages().clone();
-        m.drop_residency();
-        assert_eq!(m.resident_count(), 0);
-        assert_eq!(m.valid_pages(), &valid_before);
-        assert_eq!(m.read_u64(0), Err(Access::Fault(PageNo(0))));
     }
 
     #[test]
