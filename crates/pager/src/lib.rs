@@ -12,15 +12,18 @@
 //!
 //! The server's tables (the accounts) live in its state object — it is a
 //! peripheral server, memory-resident, backed up actively in the other
-//! cluster attached to its disk. Page *contents* live on the [`PageStore`]
-//! device, which is dual-ported and survives cluster crashes.
+//! cluster attached to its disk. The accounts also own the page images:
+//! an image lives while a primary or backup account, the server's synced
+//! image at its backup cluster, or a saved `PageOut` message at that
+//! backup holds it, and is freed with its last holder. The [`PageStore`]
+//! device models the dual-ported disk itself: it counts reads and writes.
 //!
 //! Copy-on-sync: when a sync message arrives, the backup account becomes
 //! identical to the primary account by copying the page *mapping* — "after
 //! a sync, only one copy of each page will exist. … two copies will be
 //! kept only of those pages which have been modified since sync" (§7.8):
 //! a later `PageOut` allocates a fresh blob id for the primary while the
-//! backup account keeps referencing the old blob.
+//! backup account keeps referencing the old image.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -35,13 +38,14 @@ use auros_vm::PageNo;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct BlobId(pub u64);
 
-/// The page disk: dual-ported storage for page contents.
+/// The page disk: dual-ported storage that survives cluster crashes.
 ///
-/// Blob ids are allocated by the page server from its synced counter, so
-/// a promoted backup re-allocates the same ids during replay.
+/// Page images are owned by the accounts that name them, so the device
+/// only counts the transfers. Blob ids are allocated by the page server
+/// from its synced counter, so a promoted backup re-allocates the same
+/// ids during replay.
 #[derive(Debug, Default)]
 pub struct PageStore {
-    blobs: BTreeMap<BlobId, PageBlob>,
     /// Total writes, for experiment accounting.
     pub writes: u64,
     /// Total reads, for experiment accounting.
@@ -52,34 +56,6 @@ impl PageStore {
     /// Creates an empty store.
     pub fn new() -> PageStore {
         PageStore::default()
-    }
-
-    /// Writes a blob (idempotent under replay: same id, same content).
-    pub fn put(&mut self, id: BlobId, data: PageBlob) {
-        self.writes += 1;
-        self.blobs.insert(id, data);
-    }
-
-    /// Reads a blob.
-    pub fn get(&mut self, id: BlobId) -> Option<PageBlob> {
-        self.reads += 1;
-        self.blobs.get(&id).cloned()
-    }
-
-    /// Removes blobs not referenced by `live` (garbage collection after
-    /// account drops).
-    pub fn retain_only(&mut self, live: &std::collections::BTreeSet<BlobId>) {
-        self.blobs.retain(|id, _| live.contains(id));
-    }
-
-    /// Number of stored blobs.
-    pub fn len(&self) -> usize {
-        self.blobs.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty()
     }
 }
 
@@ -93,13 +69,30 @@ impl Device for PageStore {
     }
 }
 
+/// A paged-out image and the blob id it was filed under.
+#[derive(Clone, Debug, PartialEq)]
+struct Page {
+    id: BlobId,
+    data: PageBlob,
+}
+
 /// One process's two page accounts.
 #[derive(Clone, Debug, Default)]
 struct Accounts {
-    /// The primary account: page → blob, current as of the latest flush.
-    primary: BTreeMap<PageNo, BlobId>,
-    /// The backup account: page → blob as of the last synchronization.
-    backup: BTreeMap<PageNo, BlobId>,
+    /// The primary account: page → image, current as of the latest flush.
+    primary: BTreeMap<PageNo, Page>,
+    /// The backup account: page → image as of the last synchronization.
+    backup: BTreeMap<PageNo, Page>,
+}
+
+impl Accounts {
+    /// Pages whose two accounts name different images (§7.8).
+    fn double_copied(&self) -> usize {
+        self.primary
+            .iter()
+            .filter(|(page, p)| self.backup.get(page).is_some_and(|b| b.id != p.id))
+            .count()
+    }
 }
 
 /// The page server's state — its resident "address space" (§7.9).
@@ -154,24 +147,7 @@ impl PageServer {
     /// How many pages currently have two physical copies (modified since
     /// the owner's last sync, §7.8).
     pub fn double_copied_pages(&self, pid: Pid) -> usize {
-        self.accounts
-            .get(&pid)
-            .map(|a| {
-                a.primary
-                    .iter()
-                    .filter(|(page, blob)| a.backup.get(page).is_some_and(|b| b != *blob))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Every blob referenced by any account.
-    pub fn live_blobs(&self) -> std::collections::BTreeSet<BlobId> {
-        self.accounts
-            .values()
-            .flat_map(|a| a.primary.values().chain(a.backup.values()))
-            .copied()
-            .collect()
+        self.accounts.get(&pid).map(Accounts::double_copied).unwrap_or(0)
     }
 }
 
@@ -185,14 +161,21 @@ impl ServerLogic for PageServer {
             Payload::Pager(PagerRequest::PageOut { pid, page, data }) => {
                 self.pageouts += 1;
                 let id = self.alloc_blob();
-                ctx.device_as::<PageStore>().put(id, data.clone());
-                self.accounts.entry(*pid).or_default().primary.insert(*page, id);
+                ctx.device_as::<PageStore>().writes += 1;
+                let image = Page { id, data: data.clone() };
+                self.accounts.entry(*pid).or_default().primary.insert(*page, image);
                 ctx.work(Dur(10));
             }
             Payload::Pager(PagerRequest::PageIn { pid, page }) => {
                 self.pageins += 1;
-                let blob = self.accounts.get(pid).and_then(|a| a.primary.get(page)).copied();
-                let data = blob.and_then(|id| ctx.device_as::<PageStore>().get(id));
+                let data = self
+                    .accounts
+                    .get(pid)
+                    .and_then(|a| a.primary.get(page))
+                    .map(|p| p.data.clone());
+                if data.is_some() {
+                    ctx.device_as::<PageStore>().reads += 1;
+                }
                 ctx.send(
                     end,
                     Payload::PagerReply(PagerReply::Page { pid: *pid, page: *page, data }),
@@ -252,11 +235,7 @@ impl ServerLogic for PageServer {
         reg.set("pager.pageins", self.pageins);
         reg.set("pager.account_syncs", self.account_syncs);
         reg.set("pager.accounts", self.accounts.len() as u64);
-        let double: usize = self
-            .accounts
-            .values()
-            .map(|a| a.primary.keys().filter(|p| a.backup.contains_key(p)).count())
-            .sum();
+        let double: usize = self.accounts.values().map(Accounts::double_copied).sum();
         reg.set("pager.double_copied_pages", double as u64);
     }
 
@@ -401,21 +380,92 @@ mod tests {
         }
     }
 
+    fn page_out(s: &mut PageServer, store: &mut PageStore, page: u32, data: &PageBlob) {
+        let data = Arc::clone(data);
+        drive(
+            s,
+            store,
+            Payload::Pager(PagerRequest::PageOut { pid: Pid(1), page: PageNo(page), data }),
+        );
+    }
+
+    fn sync(s: &mut PageServer, store: &mut PageStore) {
+        drive(s, store, Payload::Control(Control::Sync(Arc::new(sync_record(Pid(1))))));
+    }
+
     #[test]
     fn drop_account_releases_blobs() {
         let mut s = PageServer::new();
         let mut store = PageStore::new();
-        drive(
-            &mut s,
-            &mut store,
-            Payload::Pager(PagerRequest::PageOut { pid: Pid(1), page: PageNo(0), data: blob(1) }),
-        );
-        assert_eq!(store.len(), 1);
+        let a = blob(1);
+        let weak = Arc::downgrade(&a);
+        page_out(&mut s, &mut store, 0, &a);
+        drop(a);
+        assert!(weak.upgrade().is_some(), "the primary account holds the image");
         drive(&mut s, &mut store, Payload::Pager(PagerRequest::DropAccount { pid: Pid(1) }));
         assert!(s.primary_pages(Pid(1)).is_empty());
-        let live = s.live_blobs();
-        store.retain_only(&live);
-        assert!(store.is_empty());
+        assert!(weak.upgrade().is_none(), "dropping the account frees its image");
+        assert_eq!(store.writes, 1);
+    }
+
+    #[test]
+    fn a_superseded_image_is_freed_at_the_next_sync() {
+        let mut s = PageServer::new();
+        let mut store = PageStore::new();
+        let (a, b) = (blob(1), blob(2));
+        let (weak_a, weak_b) = (Arc::downgrade(&a), Arc::downgrade(&b));
+        page_out(&mut s, &mut store, 0, &a);
+        sync(&mut s, &mut store);
+        page_out(&mut s, &mut store, 0, &b);
+        sync(&mut s, &mut store);
+        drop((a, b));
+        assert!(weak_a.upgrade().is_none(), "no account names A after the second sync");
+        assert!(weak_b.upgrade().is_some(), "both accounts share B");
+    }
+
+    #[test]
+    fn the_backup_account_holds_the_last_synced_image() {
+        let mut s = PageServer::new();
+        let mut store = PageStore::new();
+        let (a, b) = (blob(1), blob(2));
+        let (weak_a, weak_b) = (Arc::downgrade(&a), Arc::downgrade(&b));
+        page_out(&mut s, &mut store, 0, &a);
+        sync(&mut s, &mut store);
+        page_out(&mut s, &mut store, 0, &b);
+        drop((a, b));
+        assert!(weak_a.upgrade().is_some(), "the backup account still names A");
+        assert!(weak_b.upgrade().is_some(), "the primary account names B");
+    }
+
+    #[test]
+    fn a_server_image_holds_the_pages_it_names() {
+        let mut s = PageServer::new();
+        let mut store = PageStore::new();
+        let a = blob(1);
+        let weak = Arc::downgrade(&a);
+        page_out(&mut s, &mut store, 0, &a);
+        drop(a);
+        let image = s.clone_image();
+        drive(&mut s, &mut store, Payload::Pager(PagerRequest::DropAccount { pid: Pid(1) }));
+        assert!(weak.upgrade().is_some(), "the synced server image still names A");
+        drop(image);
+        assert!(weak.upgrade().is_none());
+    }
+
+    #[test]
+    fn published_double_copies_count_only_diverged_pages() {
+        let mut s = PageServer::new();
+        let mut store = PageStore::new();
+        let published = |s: &PageServer| {
+            let mut reg = auros_sim::MetricsRegistry::new();
+            s.publish_metrics(&mut reg);
+            reg.get("pager.double_copied_pages")
+        };
+        page_out(&mut s, &mut store, 0, &blob(1));
+        sync(&mut s, &mut store);
+        assert_eq!(published(&s), 0, "a sync leaves one shared copy of each page");
+        page_out(&mut s, &mut store, 0, &blob(2));
+        assert_eq!(published(&s), 1);
     }
 
     #[test]
