@@ -122,7 +122,7 @@ pub struct Cluster {
     /// The routing table.
     pub routing: RoutingTable,
     /// Primary processes resident here.
-    pub procs: BTreeMap<Pid, Pcb>,
+    pub procs: BTreeMap<Pid, Box<Pcb>>,
     /// Inactive backups stored here.
     pub backups: BTreeMap<Pid, BackupRecord>,
     /// Birth notices, keyed by (parent, fork index).

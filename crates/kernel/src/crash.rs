@@ -308,7 +308,7 @@ impl World {
             None if is_server => ProcessState::Idle,
             None => ProcessState::Runnable,
         };
-        let prev = self.clusters[ci].procs.insert(pid, pcb);
+        let prev = self.clusters[ci].procs.insert(pid, Box::new(pcb));
         debug_assert!(prev.is_none_or(|p| p.is_dead()), "promotion over a live process");
         if !is_server {
             self.note_user_born(cid);

@@ -92,7 +92,7 @@ impl World {
             );
             self.stats.clusters[b.0 as usize].backups_created += 1;
         }
-        self.clusters[cluster.0 as usize].procs.insert(pid, pcb);
+        self.clusters[cluster.0 as usize].procs.insert(pid, Box::new(pcb));
         self.note_user_born(cluster);
         self.spawned.push(pid);
         self.spawned_pending.insert(pid);
@@ -144,7 +144,7 @@ impl World {
             );
             self.stats.clusters[b.0 as usize].backups_created += 1;
         }
-        self.clusters[cluster.0 as usize].procs.insert(pid, pcb);
+        self.clusters[cluster.0 as usize].procs.insert(pid, Box::new(pcb));
         if let Some(d) = device {
             self.server_devices.insert(pid, d);
         }
