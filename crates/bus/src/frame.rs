@@ -139,19 +139,19 @@ impl Frame {
         }
     }
 
-    /// FNV-1a over the header fields, allocation-free (the payload body
-    /// contributes only its length: the simulated wire mangles headers
-    /// and the cost model charges for bytes, but payload storage is
-    /// shared and must not be walked per transmission).
+    /// A multiply-xorshift fold over the header fields, one 64-bit word
+    /// per step and allocation-free. Each step is a bijection of the
+    /// running sum, so changing any one word changes the checksum. The
+    /// payload body contributes only its length: the simulated wire
+    /// mangles headers and the cost model charges for bytes, but payload
+    /// storage is shared and must not be walked per transmission.
     fn compute_checksum(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
+        const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+        const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut h = SEED;
         let mut mix = |v: u64| {
-            for shift in [0u32, 16, 32, 48] {
-                h ^= (v >> shift) & 0xffff;
-                h = h.wrapping_mul(PRIME);
-            }
+            h = (h ^ v).wrapping_mul(MUL);
+            h ^= h >> 32;
         };
         mix(self.src_cluster.0 as u64);
         mix(self.msg.id.0);
@@ -187,6 +187,7 @@ mod tests {
     use super::*;
     use crate::bytes::SharedBytes;
     use crate::proto::{ChannelId, Side};
+    use proptest::prelude::*;
 
     fn end() -> ChanEnd {
         ChanEnd { channel: ChannelId(1), side: Side::A }
@@ -264,6 +265,97 @@ mod tests {
         let mut c = sealed();
         c.targets[0].0 = ClusterId(3);
         assert_ne!(a.compute_checksum(), c.compute_checksum(), "target change alters checksum");
+    }
+
+    fn tag(code: u8, end: ChanEnd) -> DeliveryTag {
+        match code {
+            0 => DeliveryTag::Primary(end),
+            1 => DeliveryTag::DestBackup(end),
+            2 => DeliveryTag::SenderBackup(end),
+            _ => DeliveryTag::Kernel,
+        }
+    }
+
+    fn end_mut(tag: &mut DeliveryTag) -> Option<&mut ChanEnd> {
+        match tag {
+            DeliveryTag::Primary(e) | DeliveryTag::DestBackup(e) | DeliveryTag::SenderBackup(e) => {
+                Some(e)
+            }
+            DeliveryTag::Kernel => None,
+        }
+    }
+
+    /// A named change to one header field.
+    type Mutation<'a> = (&'a str, &'a dyn Fn(&mut Frame));
+
+    proptest! {
+        /// Changing any one header field of a sealed frame makes
+        /// `verify` fail, and so does `corrupt`.
+        #[test]
+        fn prop_any_header_change_fails_verify(
+            ids in (any::<u16>(), any::<u64>(), any::<u64>()),
+            nondet in proptest::collection::vec(any::<u64>(), 1..4),
+            targets in proptest::collection::vec(
+                (any::<u16>(), 0u8..4, any::<u64>(), any::<bool>(), any::<u64>()),
+                1..4,
+            ),
+            pick in any::<usize>(),
+            delta in any::<u64>(),
+        ) {
+            let (src_cluster, id, src) = ids;
+            let msg = Message {
+                id: MsgId(id),
+                src: Pid(src),
+                payload: Payload::Data(vec![1, 2, 3].into()),
+                nondet: nondet.clone(),
+            };
+            // Tag codes as in `tag`; the first target's names an end.
+            let codes: Vec<u8> =
+                targets.iter().enumerate().map(|(i, t)| if i == 0 { t.1 % 3 } else { t.1 }).collect();
+            let header: Vec<_> = targets
+                .iter()
+                .zip(&codes)
+                .map(|(&(cid, _, channel, b, _), &code)| {
+                    let side = if b { Side::B } else { Side::A };
+                    (ClusterId(cid), tag(code, ChanEnd { channel: ChannelId(channel), side }))
+                })
+                .collect();
+            let mut frame = Frame::new(ClusterId(src_cluster), header, msg);
+            frame.seal(targets.iter().map(|t| t.4).collect());
+            prop_assert!(frame.verify());
+
+            let d = delta.max(1);
+            let d16 = (delta as u16).max(1);
+            let i = pick % targets.len();
+            let j = pick % nondet.len();
+            // The end to change: target `i`'s, or the first target's when
+            // `i` is a kernel target.
+            let e = if end_mut(&mut frame.targets[i].1).is_some() { i } else { 0 };
+            let mutations: [Mutation; 10] = [
+                ("source cluster", &|f| f.src_cluster.0 ^= d16),
+                ("message id", &|f| f.msg.id.0 ^= d),
+                ("source pid", &|f| f.msg.src.0 ^= d),
+                ("target cluster", &|f| f.targets[i].0 .0 ^= d16),
+                ("tag", &|f| {
+                    let code = (codes[i] + 1 + (delta % 3) as u8) % 4;
+                    let end = end_mut(&mut f.targets[e].1).copied().unwrap_or(end());
+                    f.targets[i].1 = tag(code, end);
+                }),
+                ("end channel", &|f| end_mut(&mut f.targets[e].1).unwrap().channel.0 ^= d),
+                ("end side", &|f| {
+                    let end = end_mut(&mut f.targets[e].1).unwrap();
+                    end.side = if end.side == Side::A { Side::B } else { Side::A };
+                }),
+                ("sequence number", &|f| f.seqs[i] ^= d),
+                ("nondet word", &|f| f.msg.nondet[j] ^= d),
+                ("corrupt()", &|f| f.corrupt()),
+            ];
+            for (field, mutate) in mutations {
+                let mut f = frame.clone();
+                mutate(&mut f);
+                prop_assert!(!f.verify(), "changing the {field} left the checksum valid");
+            }
+        }
     }
 
     #[test]
