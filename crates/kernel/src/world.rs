@@ -336,6 +336,7 @@ impl World {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: Config) -> World {
+        // auros-lint: allow(D5) -- documented panic contract (see # Panics): a host-supplied Config is checked once at construction, before any event or fault plan runs, so no fault can reach it
         cfg.validate().expect("invalid configuration");
         let clusters =
             (0..cfg.clusters).map(|i| Cluster::new(ClusterId(i), WORK_PROCESSORS)).collect();
@@ -625,7 +626,9 @@ impl World {
             );
             return SendOutcome::Suppressed;
         }
-        let entry = self.clusters[ci].routing.primary(&end).expect("entry checked above");
+        let Some(entry) = self.clusters[ci].routing.primary(&end) else {
+            return SendOutcome::PeerGone;
+        };
         if entry.peer_closed {
             return SendOutcome::PeerGone;
         }
@@ -1220,7 +1223,9 @@ impl World {
             self.kernel_port_recv(cid, end, msg.clone());
             return;
         }
-        c.routing.enqueue_primary(end, msg.clone()).expect("entry checked above");
+        if c.routing.enqueue_primary(end, msg.clone()).is_none() {
+            return;
+        }
         self.stats.clusters[ci].primary_msgs += 1;
         let now = self.now();
         self.trace.emit(
@@ -1244,7 +1249,9 @@ impl World {
         let c = &mut self.clusters[ci];
         if c.routing.has_backup(&end) {
             let seq = c.routing.stamp();
-            let be = c.routing.backup_mut(&end).expect("checked above");
+            let Some(be) = c.routing.backup_mut(&end) else {
+                return;
+            };
             be.queue.push_back(Queued { arrival_seq: seq, msg: msg.clone() });
             let depth = be.queue.len() as u64;
             let owner = be.owner;
@@ -1399,13 +1406,13 @@ impl World {
                 }
             }
             self.trace.emit(now, Loc::Cluster(cid.0), TraceKind::Dispatched { pid: pid.0 });
-            let token = {
-                let pcb = self.clusters[ci].procs.get_mut(&pid).expect("checked above");
-                pcb.state = ProcessState::Running;
-                pcb.run_token += 1;
-                pcb.quantum_start = now;
-                pcb.run_token
+            let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) else {
+                continue;
             };
+            pcb.state = ProcessState::Running;
+            pcb.run_token += 1;
+            pcb.quantum_start = now;
+            let token = pcb.run_token;
             if is_server {
                 // Servers handle one message per step; the message is
                 // consumed now (counts updated) and effects are applied
@@ -1421,12 +1428,13 @@ impl World {
                 self.queue.schedule(end, Event::ServerDone { cluster: cid, pid, token });
             } else {
                 let quantum = self.cfg.quantum;
-                let (exit, used) = self.clusters[ci]
-                    .procs
-                    .get_mut(&pid)
-                    .and_then(|p| p.machine_mut())
-                    .map(|m| m.run(quantum))
-                    .expect("user process has a machine");
+                // A body that is not a server is a user process's machine.
+                let Some(machine) =
+                    self.clusters[ci].procs.get_mut(&pid).and_then(|p| p.machine_mut())
+                else {
+                    continue;
+                };
+                let (exit, used) = machine.run(quantum);
                 let span = cost::DISPATCH + Dur(used.saturating_mul(TICKS_PER_FUEL));
                 let end = now + span;
                 self.clusters[ci].work_free[worker] = end;

@@ -13,6 +13,13 @@
 //! the rule table in [`rules::RULES`] according to each file's
 //! [`rules::CrateClass`].
 //!
+//! The D-rules read the token stream directly. The two sharing rules need
+//! a little more: [`parse`] scans each file flat for its statics,
+//! thread-locals, type definitions and shared pointers (S1) and its
+//! wildcard matches over protected enums (S4), and [`graph`] closes the
+//! workspace-wide set of types that reach interior mutability, against
+//! which S1 judges every static and every `Arc`/`Rc`/`Weak` payload.
+//!
 //! Violations can be suppressed — visibly, with a reason the tool counts
 //! and reports — by an inline waiver:
 //!

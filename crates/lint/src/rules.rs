@@ -27,7 +27,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`D1`..`D6`, `W0`, `W1`).
+    /// Rule id (`D1`..`D6`, `S1`, `S4`, `W0`, `W1`).
     pub rule: &'static str,
     /// Human-readable explanation of the hit.
     pub message: String,
@@ -131,7 +131,7 @@ waived with a reason.",
         title: "no unwrap/expect on fault-handling paths",
         explain: "D5 — no `.unwrap()`/`.expect()` on fault-handling paths (crash.rs,\n\
 sync.rs, routing.rs, server.rs, process.rs, checkpoint.rs,\n\
-supervise.rs) without an inline waiver stating the invariant.\n\
+supervise.rs, world.rs) without an inline waiver stating the invariant.\n\
 \n\
 Crash handling and backup promotion (§7.10.1–§7.10.2) run precisely\n\
 when the system is already degraded; a panic there turns a survivable\n\
@@ -153,9 +153,10 @@ add a `TraceKind` variant instead. See DESIGN.md §5.8.",
     },
     RuleInfo {
         id: "S1",
-        title: "no mutable global state in sim crates",
-        explain: "S1 — no mutable global state (`static mut`, statics holding\n\
-interior mutability, `thread_local!`) in sim-deterministic crates.\n\
+        title: "no shared mutable state in sim crates",
+        explain: "S1 — no shared mutable state in sim-deterministic crates: no\n\
+`static mut`, no static holding interior mutability, no `thread_local!`,\n\
+and no `Arc`/`Rc`/`Weak` of a payload that reaches interior mutability.\n\
 \n\
 §5.1's architecture has clusters interact *only* through the bus, and\n\
 the simulator keeps all of a machine's state inside its `World`, so two\n\
@@ -165,37 +166,15 @@ reaches a `Cell`/`Mutex`/`Atomic*`, or a `thread_local!` pinning state\n\
 to an OS thread — is a side channel around both: clusters could observe\n\
 each other without a message, and concurrent runs could observe each\n\
 other at all (a process-global payload-allocation counter once made\n\
-`tests/zero_copy.rs` fail whenever another test ran beside it). All\n\
-mutable state must live in the `World`, owned by exactly one cluster.",
-    },
-    RuleInfo {
-        id: "S2",
-        title: "no interior mutability across a pub crate boundary",
-        explain: "S2 — interior mutability must not be reachable through a plain-`pub`\n\
-item crossing a sim-crate boundary.\n\
-\n\
-The sharing boundary §5.1 draws (clusters talk through the bus, and\n\
-through nothing else) is only checkable if the crates' public surfaces\n\
-stay Freeze: a `pub` field, `pub` type alias, enum variant payload, or\n\
-`pub fn` return type that reaches a `Cell`/`RefCell`/`Mutex`/`Atomic*`\n\
-hands every downstream crate a mutation channel that bypasses message\n\
-delivery. Keep interior mutability private to its defining module (or\n\
-`pub(crate)`), and expose values, not cells.",
-    },
-    RuleInfo {
-        id: "S3",
-        title: "no Arc of a non-Freeze payload",
-        explain: "S3 — no `Arc` of a non-Freeze payload (`Arc<Mutex<_>>`,\n\
-`Arc<Atomic*>`, or any type transitively holding interior mutability)\n\
-in sim-deterministic crates.\n\
-\n\
-The zero-copy fabric shares one buffer per message precisely because\n\
-`Arc<[u8]>` payloads are immutable: §5.1's all-or-none delivery puts\n\
-the same bytes in every destination queue, and nobody can write to\n\
-them afterwards. An `Arc` of a mutable payload inverts that — it is\n\
-shared *and* writable, the exact shape of cross-cluster state that\n\
-lets one cluster see another's writes without a message. `SharedBytes`-\n\
-style `Arc<[u8]>`, `Arc<str>`, and Arcs of Freeze structs stay legal.",
+`tests/zero_copy.rs` fail whenever another test ran beside it). A\n\
+shared pointer to a mutable payload (`Rc<RefCell<_>>`, `Weak<Cell<_>>`,\n\
+`Arc<Mutex<_>>`, or one to any type transitively holding interior\n\
+mutability) is the same channel inside one `World`: two clusters holding\n\
+it see each other's writes without a message, and a backup replaying\n\
+from its last sync (§6) cannot re-derive them. The zero-copy fabric\n\
+shares only frozen payloads (`Arc<[u8]>`, `Arc<str>`, Arcs of Freeze\n\
+structs), which stay legal. All mutable state must live in the `World`,\n\
+owned by exactly one cluster.",
     },
     RuleInfo {
         id: "S4",
@@ -242,6 +221,7 @@ pub const FAULT_PATH_FILES: &[&str] = &[
     "process.rs",
     "checkpoint.rs",
     "supervise.rs",
+    "world.rs",
 ];
 
 /// Identifiers banned outright per rule, in deterministic crates.
@@ -267,26 +247,26 @@ pub struct FileAnalysis {
     symbols: FileSymbols,
 }
 
-/// Phase one: lexes, parses, and collects the per-file facts. Items,
-/// matches, and Arc expressions on `#[cfg(test)]` lines are dropped here,
-/// so the symbol graph never sees test-only code.
+/// Phase one: lexes, scans, and collects the per-file facts. Items, shared
+/// pointers and matches on `#[cfg(test)]` lines are dropped here, so the
+/// symbol graph never sees test-only code.
 pub fn analyze_source(file: &str, class: CrateClass, src: &str) -> FileAnalysis {
     let lexed = lexer::lex(src);
     let mut d_hits: Vec<(u32, &'static str, String)> = Vec::new();
-    let mut symbols = FileSymbols { file: file.to_string(), ..Default::default() };
+    let mut symbols = FileSymbols::default();
     if class == CrateClass::Deterministic {
         let spans = lexer::cfg_test_spans(&lexed.tokens);
         let in_test = |line: u32| spans.iter().any(|(a, b)| (*a..=*b).contains(&line));
         collect_hits(file, &lexed.tokens, &in_test, &mut d_hits);
         d_hits.sort();
         symbols.items =
-            parse::parse(&lexed.tokens).into_iter().filter(|i| !in_test(i.line)).collect();
+            parse::items(&lexed.tokens).into_iter().filter(|i| !in_test(i.line)).collect();
+        symbols.shared =
+            parse::shared_ptrs(&lexed.tokens).into_iter().filter(|p| !in_test(p.line)).collect();
         symbols.matches = parse::wildcard_protected_matches(&lexed.tokens, graph::PROTECTED_ENUMS)
             .into_iter()
             .filter(|m| !in_test(m.line))
             .collect();
-        symbols.arc_exprs =
-            graph::arc_new_exprs(&lexed.tokens).into_iter().filter(|a| !in_test(a.line)).collect();
     }
     FileAnalysis {
         label: file.to_string(),
@@ -649,7 +629,9 @@ mod tests {
         // degraded: it is a fault path like crash.rs.
         assert_eq!(rules_of(&det("supervise.rs", src)), vec!["D5"]);
         assert_eq!(rules_of(&det("kernel/src/supervise.rs", src)), vec!["D5"]);
-        assert!(det("world.rs", src).diagnostics.is_empty());
+        // The world's event handlers deliver, promote and replay.
+        assert_eq!(rules_of(&det("world.rs", src)), vec!["D5"]);
+        assert!(det("lib.rs", src).diagnostics.is_empty());
     }
 
     #[test]
@@ -708,8 +690,12 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_waiver_is_w0() {
-        let r = det("lib.rs", "let x = 1; // auros-lint: allow(D9) -- no such rule\n");
-        assert_eq!(rules_of(&r), vec!["W0"]);
+        // S2 and S3 were deleted: a waiver still naming them is stale
+        // and must be reported, not silently accepted.
+        for rule in ["D9", "S2", "S3"] {
+            let src = format!("let x = 1; // auros-lint: allow({rule}) -- no such rule\n");
+            assert_eq!(rules_of(&det("lib.rs", &src)), vec!["W0"], "{rule}");
+        }
     }
 
     #[test]

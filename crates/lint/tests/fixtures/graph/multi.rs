@@ -1,5 +1,5 @@
 //! Graph-pin fixture: a small multi-module crate image whose symbol
-//! graph (module paths, taint propagation, census) is pinned by
+//! graph (items, taint propagation) is pinned by
 //! `tests/parse_graph.rs`. Not rule-pure on purpose — it exists to
 //! exercise the graph, not the rules.
 

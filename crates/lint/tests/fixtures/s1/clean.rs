@@ -1,5 +1,7 @@
 //! S1 clean fixture: immutable Freeze globals and ordinary owned
-//! state are fine — only *mutable* process-global state is banned.
+//! state are fine — only *mutable* shared state is banned. Shared
+//! pointers to frozen payloads are the blessed idiom: shared immutable
+//! bytes and text, trait objects, and owned program text.
 
 static LIMIT: u64 = 64;
 
@@ -15,4 +17,18 @@ impl Counter {
     pub fn bump(&mut self) {
         self.ticks += 1;
     }
+}
+
+pub struct SharedBytes {
+    buf: Rc<[u8]>,
+    name: Arc<str>,
+}
+
+struct Image {
+    image: Arc<dyn ProcessImage>,
+    program: Arc<Vec<Inst>>,
+}
+
+fn intern(data: &[u8]) -> Arc<[u8]> {
+    Arc::from(data)
 }

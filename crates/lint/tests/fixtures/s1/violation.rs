@@ -1,7 +1,9 @@
-//! S1 fixture: mutable global state in a deterministic crate.
-//! Four distinct shapes, all violations: `static mut`, an
-//! interior-mutability static, a thread-local, and a function-local
-//! static (function bodies are not an escape hatch).
+//! S1 fixture: shared mutable state in a deterministic crate. Eleven
+//! distinct shapes, all violations, one per line: `static mut`, an
+//! interior-mutability static, a thread-local, a function-local static
+//! (function bodies are not an escape hatch), and shared pointers to a
+//! mutable payload — `Rc`, `Weak` and `Arc` alike, direct, through a
+//! tainted struct, through a type alias, and in a signature.
 
 static mut TICKS: u64 = 0;
 
@@ -14,4 +16,31 @@ thread_local! {
 fn bump() {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     COUNTER.fetch_add(1, Ordering::Relaxed);
+}
+
+struct Shared {
+    log: Rc<RefCell<Vec<u64>>>,
+}
+
+struct Peer {
+    back: Weak<Cell<u64>>,
+}
+
+struct Tally {
+    hits: Cell<u64>,
+}
+
+struct Board {
+    tally: Rc<Tally>,
+}
+
+struct Delivery {
+    acks: Arc<AtomicU64>,
+    guard: Arc<Mutex<u64>>,
+}
+
+type SharedState = Arc<RwLock<u64>>;
+
+fn observer(board: &Board) -> Weak<Tally> {
+    Rc::downgrade(&board.tally)
 }

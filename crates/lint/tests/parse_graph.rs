@@ -1,18 +1,18 @@
-//! Property and pin tests for the parse + symbol-graph layer.
+//! Property and pin tests for the item scan + symbol-graph layer.
 //!
-//! The parser must be *total* (any input yields an item list, never a
+//! The scan must be *total* (any input yields an item list, never a
 //! panic) and *span-stable* (item lines track source lines exactly), or
-//! the S-rules cannot be trusted on a codebase the
-//! parser only approximates. The properties run on fixture-derived
-//! inputs: splices of two fixture files cut at arbitrary char
-//! boundaries (which subsumes truncation mid-token), and fixtures
-//! shifted by leading blank lines. The pin test freezes the symbol
-//! graph of a small multi-module fixture: module paths and taint
-//! propagation.
+//! the S-rules cannot be trusted on a codebase the scan only
+//! approximates. The properties run on fixture-derived inputs: splices
+//! of two fixture files cut at arbitrary char boundaries (which subsumes
+//! truncation mid-token), and fixtures shifted by leading blank lines.
+//! The pin test freezes the items and the taint closure of a small
+//! multi-module fixture.
 
 use std::path::PathBuf;
 
 use auros_lint::graph::{self, FileSymbols};
+use auros_lint::parse::ItemKind;
 use auros_lint::{lexer, lint_source, parse, CrateClass};
 use proptest::prelude::*;
 
@@ -50,8 +50,8 @@ fn floor_boundary(s: &str, mut i: usize) -> usize {
 }
 
 proptest! {
-    /// Lexing, parsing, match scanning, Arc-expression scanning, and the
-    /// full per-file lint pipeline never panic on a splice of two
+    /// Lexing, item scanning, match scanning, and the full per-file lint
+    /// pipeline never panic on a splice of two
     /// fixtures cut at arbitrary points, and every reported item line
     /// stays within the source's line range.
     #[test]
@@ -69,26 +69,21 @@ proptest! {
         let spliced = format!("{}{}", &sa[..pre], &sb[suf..]);
 
         let lexed = lexer::lex(&spliced);
-        let items = parse::parse(&lexed.tokens);
+        let items = parse::items(&lexed.tokens);
+        let shared = parse::shared_ptrs(&lexed.tokens);
         let last_line = spliced.lines().count().max(1) as u32;
-        for item in &items {
-            prop_assert!(
-                item.line >= 1 && item.line <= last_line,
-                "item {} at line {} outside 1..={last_line}",
-                item.name,
-                item.line
-            );
+        for line in items.iter().map(|i| i.line).chain(shared.iter().map(|p| p.line)) {
+            prop_assert!(line >= 1 && line <= last_line, "item line {line} outside 1..={last_line}");
         }
         // The downstream scans and the whole single-file pipeline must be
         // total too — they share the token stream.
         let _ = parse::wildcard_protected_matches(&lexed.tokens, graph::PROTECTED_ENUMS);
-        let _ = graph::arc_new_exprs(&lexed.tokens);
         let _ = lint_source("crates/sim/src/spliced.rs", CrateClass::Deterministic, &spliced);
     }
 
-    /// Prepending `k` blank lines shifts every item and every wildcard
-    /// match by exactly `k` and changes nothing else: spans come from the
-    /// source, not from parser state.
+    /// Prepending `k` blank lines shifts every item, shared pointer and
+    /// wildcard match by exactly `k` and changes nothing else: spans come
+    /// from the source, not from scanner state.
     #[test]
     fn spans_shift_exactly_with_leading_blank_lines(a in 0usize..1024, k in 1u32..48) {
         let sources = fixture_sources();
@@ -98,16 +93,12 @@ proptest! {
         let base = lexer::lex(src);
         let pad = lexer::lex(&padded);
 
-        let base_items = parse::parse(&base.tokens);
-        let pad_items = parse::parse(&pad.tokens);
-        prop_assert_eq!(base_items.len(), pad_items.len());
-        for (o, p) in base_items.iter().zip(&pad_items) {
-            prop_assert_eq!(p.line, o.line + k);
-            prop_assert_eq!(&p.name, &o.name);
-            prop_assert_eq!(&p.module, &o.module);
-            prop_assert_eq!(p.vis, o.vis);
-            prop_assert_eq!(p.kind.name(), o.kind.name());
-        }
+        let mut pad_items = parse::items(&pad.tokens);
+        pad_items.iter_mut().for_each(|i| i.line -= k);
+        prop_assert_eq!(parse::items(&base.tokens), pad_items);
+        let mut pad_shared = parse::shared_ptrs(&pad.tokens);
+        pad_shared.iter_mut().for_each(|p| p.line -= k);
+        prop_assert_eq!(parse::shared_ptrs(&base.tokens), pad_shared);
 
         let protected = graph::PROTECTED_ENUMS;
         let base_m = parse::wildcard_protected_matches(&base.tokens, protected);
@@ -121,34 +112,30 @@ proptest! {
     }
 }
 
-/// Freezes the symbol graph of `fixtures/graph/multi.rs`: items with
-/// their module paths, and the taint closure.
+/// Freezes the symbol graph of `fixtures/graph/multi.rs`: its items and
+/// the taint closure.
 #[test]
 fn symbol_graph_pin_for_multi_module_fixture() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/graph/multi.rs");
     let src = std::fs::read_to_string(&path).expect("graph fixture");
     let lexed = lexer::lex(&src);
     let fs = FileSymbols {
-        file: "crates/sim/src/multi.rs".to_string(),
-        items: parse::parse(&lexed.tokens),
+        items: parse::items(&lexed.tokens),
+        shared: parse::shared_ptrs(&lexed.tokens),
         matches: parse::wildcard_protected_matches(&lexed.tokens, graph::PROTECTED_ENUMS),
-        arc_exprs: graph::arc_new_exprs(&lexed.tokens),
     };
 
-    let got: Vec<(String, &str, &str, u32)> = fs
-        .items
-        .iter()
-        .map(|i| (i.module.join("::"), i.name.as_str(), i.kind.name(), i.line))
-        .collect();
+    let got: Vec<(&str, ItemKind, u32)> =
+        fs.items.iter().map(|i| (i.name.as_str(), i.kind, i.line)).collect();
     assert_eq!(
         got,
         vec![
-            ("fabric".to_string(), "Frame", "struct", 7),
-            ("fabric".to_string(), "Bytes", "struct", 12),
-            ("metrics".to_string(), "Gauge", "struct", 18),
-            ("metrics".to_string(), "GaugeRef", "type", 22),
-            ("state".to_string(), "HIGH_WATER", "static", 26),
-            ("state".to_string(), "LOCAL", "thread_local", 29),
+            ("Frame", ItemKind::Type, 7),
+            ("Bytes", ItemKind::Type, 12),
+            ("Gauge", ItemKind::Type, 18),
+            ("GaugeRef", ItemKind::Type, 22),
+            ("HIGH_WATER", ItemKind::Static { mutable: false }, 26),
+            ("LOCAL", ItemKind::ThreadLocal, 29),
         ]
     );
 

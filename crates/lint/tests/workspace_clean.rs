@@ -43,20 +43,29 @@ fn cli_deny_exits_zero_on_workspace() {
     );
 }
 
+/// Every rule but the waiver checks (W0/W1, exercised by `waiver/`) has
+/// a fixture directory named after it, and its violation fixture fails
+/// `--deny` with that rule. The list comes from `RULES`, so a new rule
+/// without a violation fixture fails here.
 #[test]
 fn cli_deny_exits_nonzero_on_each_violation_fixture() {
     let root = workspace_root();
     let fixtures = root.join("crates/lint/tests/fixtures");
-    for rel in [
-        "d1/violation.rs",
-        "d2/violation.rs",
-        "d3/violation.rs",
-        "d4/violation.rs",
-        "d5/violation/crash.rs",
-    ] {
-        let path = fixtures.join(rel);
+    for rule in auros_lint::RULES.iter().filter(|r| !r.id.starts_with('W')) {
+        let dir = fixtures.join(rule.id.to_lowercase());
+        // D5 keys on the file name, so its fixtures sit in subdirectories.
+        let path = [dir.join("violation.rs"), dir.join("violation/crash.rs")]
+            .into_iter()
+            .find(|p| p.is_file())
+            .unwrap_or_else(|| panic!("{}: no violation fixture under {}", rule.id, dir.display()));
         let out = run_cli(&["--deny", "--class", "det", path.to_str().expect("utf8 path")], &root);
-        assert!(!out.status.success(), "{rel} must fail under --deny");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!out.status.success(), "{} must fail under --deny", path.display());
+        assert!(
+            stdout.contains(&format!(": {}: ", rule.id)),
+            "{} not reported:\n{stdout}",
+            rule.id
+        );
     }
 }
 
@@ -68,6 +77,9 @@ fn cli_explain_documents_every_rule() {
         assert!(out.status.success(), "--explain {} failed", rule.id);
         assert!(!out.stdout.is_empty());
     }
-    let out = run_cli(&["--explain", "D99"], &root);
-    assert!(!out.status.success(), "unknown rule must be an error");
+    // S2 and S3 were deleted.
+    for id in ["D99", "S2", "S3"] {
+        let out = run_cli(&["--explain", id], &root);
+        assert!(!out.status.success(), "unknown rule {id} must be an error");
+    }
 }
