@@ -97,9 +97,17 @@ fn d6_untyped_trace_emission() {
 
 #[test]
 fn s1_mutable_global_state() {
-    assert_violates("s1/violation.rs", "S1", 11);
+    assert_violates("s1/violation.rs", "S1", 8);
     assert_clean("s1/clean.rs");
-    assert_waived("s1/waived.rs", "S1", 2);
+    assert_waived("s1/waived.rs", "S1", 1);
+}
+
+/// The `Arc` shapes of the former rule S3, now part of S1.
+#[test]
+fn s3_arc_of_non_freeze_payload() {
+    assert_violates("s1/arc_violation.rs", "S1", 4);
+    assert_clean("s1/arc_clean.rs");
+    assert_waived("s1/arc_waived.rs", "S1", 1);
 }
 
 #[test]
@@ -137,6 +145,7 @@ fn host_class_ignores_every_violation_fixture() {
         "d5/violation/crash.rs",
         "d6/violation.rs",
         "s1/violation.rs",
+        "s1/arc_violation.rs",
         "s4/violation.rs",
     ] {
         let r = lint_fixture(rel, CrateClass::Host);

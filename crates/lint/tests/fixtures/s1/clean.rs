@@ -1,7 +1,7 @@
 //! S1 clean fixture: immutable Freeze globals and ordinary owned
 //! state are fine — only *mutable* shared state is banned. Shared
-//! pointers to frozen payloads are the blessed idiom: shared immutable
-//! bytes and text, trait objects, and owned program text.
+//! pointers to frozen payloads are the blessed idiom; the `Arc` shapes
+//! live in `arc_clean.rs`.
 
 static LIMIT: u64 = 64;
 
@@ -21,14 +21,8 @@ impl Counter {
 
 pub struct SharedBytes {
     buf: Rc<[u8]>,
-    name: Arc<str>,
 }
 
-struct Image {
-    image: Arc<dyn ProcessImage>,
-    program: Arc<Vec<Inst>>,
-}
-
-fn intern(data: &[u8]) -> Arc<[u8]> {
-    Arc::from(data)
+fn intern(data: &[u8]) -> Rc<[u8]> {
+    Rc::from(data)
 }

@@ -1,9 +1,9 @@
-//! S1 fixture: shared mutable state in a deterministic crate. Eleven
+//! S1 fixture: shared mutable state in a deterministic crate. Eight
 //! distinct shapes, all violations, one per line: `static mut`, an
 //! interior-mutability static, a thread-local, a function-local static
-//! (function bodies are not an escape hatch), and shared pointers to a
-//! mutable payload — `Rc`, `Weak` and `Arc` alike, direct, through a
-//! tainted struct, through a type alias, and in a signature.
+//! (function bodies are not an escape hatch), and `Rc` and `Weak`
+//! pointers to a mutable payload, direct, through a tainted struct, and
+//! in a signature. The `Arc` shapes live in `arc_violation.rs`.
 
 static mut TICKS: u64 = 0;
 
@@ -33,13 +33,6 @@ struct Tally {
 struct Board {
     tally: Rc<Tally>,
 }
-
-struct Delivery {
-    acks: Arc<AtomicU64>,
-    guard: Arc<Mutex<u64>>,
-}
-
-type SharedState = Arc<RwLock<u64>>;
 
 fn observer(board: &Board) -> Weak<Tally> {
     Rc::downgrade(&board.tally)

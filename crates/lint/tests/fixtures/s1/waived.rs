@@ -1,15 +1,9 @@
-//! S1 waived fixture: an observability counter and a host-bridge
-//! handle escape the rule with a recorded reason, mirroring the bus
-//! payload-allocation probe.
+//! S1 waived fixture: an observability counter escapes the rule with a
+//! recorded reason, mirroring the bus payload-allocation probe.
 
 // auros-lint: allow(S1) -- observability-only counter: monotonic, never read by sim logic
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 pub fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-struct Bridge {
-    // auros-lint: allow(S1) -- host-side bridge handle: never enters a message or crosses a cluster
-    flag: Arc<AtomicU64>,
 }
