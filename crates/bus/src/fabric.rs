@@ -215,16 +215,43 @@ impl BusFabric {
         }
     }
 
-    /// Publishes bus metrics. Single segment: the historical names
-    /// (`bus.a.frames`, …), byte-identical. Multi-segment: per-segment
-    /// names plus fabric gateway counters.
+    /// Publishes the fabric's fleet totals: per bus, the traffic
+    /// counters summed over segments (`bus.a.frames`, …) and whether the
+    /// wire is failed or quarantined on any segment, plus the gateway
+    /// counters. Every fabric publishes the same names, so a
+    /// single-segment fabric's `bus.*` values are its one segment's.
     pub fn publish_metrics(&self, reg: &mut auros_sim::MetricsRegistry) {
-        if self.is_single() {
-            self.segments[0].publish_metrics(reg);
-            return;
-        }
-        for (i, seg) in self.segments.iter().enumerate() {
-            seg.publish_metrics_prefixed(&format!("segment.{i}."), reg);
+        for (bus, [frames, bytes, busy, retries, failed, quarantined]) in [
+            (
+                BusKind::A,
+                [
+                    "bus.a.frames",
+                    "bus.a.bytes",
+                    "bus.a.busy_ticks",
+                    "bus.a.retries",
+                    "bus.a.failed",
+                    "bus.a.quarantined",
+                ],
+            ),
+            (
+                BusKind::B,
+                [
+                    "bus.b.frames",
+                    "bus.b.bytes",
+                    "bus.b.busy_ticks",
+                    "bus.b.retries",
+                    "bus.b.failed",
+                    "bus.b.quarantined",
+                ],
+            ),
+        ] {
+            let c = self.counters(bus);
+            reg.set(frames, c.frames);
+            reg.set(bytes, c.bytes);
+            reg.set(busy, c.busy);
+            reg.set(retries, c.retries);
+            reg.set(failed, self.segments.iter().any(|s| s.failed(bus)) as u64);
+            reg.set(quarantined, self.is_quarantined(bus) as u64);
         }
         reg.set("fabric.segments", self.segments.len() as u64);
         reg.set("fabric.gateway_frames", self.gateway_frames);

@@ -179,7 +179,8 @@ impl BusSchedule {
         }
     }
 
-    fn failed(&self, bus: BusKind) -> bool {
+    /// Whether `bus` has failed for good.
+    pub(crate) fn failed(&self, bus: BusKind) -> bool {
         match bus {
             BusKind::A => self.a_failed,
             BusKind::B => self.b_failed,
@@ -446,36 +447,6 @@ impl BusSchedule {
             BusKind::B => self.b,
         }
     }
-
-    /// Bus utilization over `[VTime::ZERO, now]` as busy-fraction ×1000.
-    pub fn utilization_permille(&self, now: VTime) -> u64 {
-        if now == VTime::ZERO {
-            return 0;
-        }
-        let busy = self.a.busy + self.b.busy;
-        busy * 1000 / now.ticks()
-    }
-
-    /// Publishes both buses' traffic ledgers into the metrics registry.
-    pub fn publish_metrics(&self, reg: &mut auros_sim::MetricsRegistry) {
-        self.publish_metrics_prefixed("", reg);
-    }
-
-    /// [`Self::publish_metrics`] under a name prefix (fleet fabrics
-    /// publish each segment as `segment.<i>.bus.a.frames`, …).
-    pub fn publish_metrics_prefixed(&self, prefix: &str, reg: &mut auros_sim::MetricsRegistry) {
-        for (name, c, failed, quarantined) in [
-            ("bus.a", &self.a, self.a_failed, self.a_quarantined),
-            ("bus.b", &self.b, self.b_failed, self.b_quarantined),
-        ] {
-            reg.set_owned(format!("{prefix}{name}.frames"), c.frames);
-            reg.set_owned(format!("{prefix}{name}.bytes"), c.bytes);
-            reg.set_owned(format!("{prefix}{name}.busy_ticks"), c.busy);
-            reg.set_owned(format!("{prefix}{name}.retries"), c.retries);
-            reg.set_owned(format!("{prefix}{name}.failed"), failed as u64);
-            reg.set_owned(format!("{prefix}{name}.quarantined"), quarantined as u64);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -535,14 +506,6 @@ mod tests {
         // The second failure exhausts the pair.
         assert_eq!(bus.fail_active(VTime(500)), None);
         assert!(bus.reserve(VTime(0), Dur(1), 1).is_none());
-    }
-
-    #[test]
-    fn utilization_reflects_busy_time() {
-        let mut bus = BusSchedule::new();
-        bus.reserve(VTime(0), Dur(250), 1);
-        assert_eq!(bus.utilization_permille(VTime(1000)), 250);
-        assert_eq!(bus.utilization_permille(VTime::ZERO), 0);
     }
 
     #[test]

@@ -585,8 +585,8 @@ impl System {
         best.map(|p| (p.total_wait.as_ticks(), p.waits, p.max_wait.as_ticks())).unwrap_or((0, 0, 0))
     }
 
-    /// Collects every published counter and histogram — kernel ledgers,
-    /// bus schedule, and each live server — into one registry.
+    /// Collects every published fleet total — kernel ledgers, bus
+    /// fabric, and each live server — into one registry.
     pub fn metrics(&self) -> auros_sim::MetricsRegistry {
         let mut reg = auros_sim::MetricsRegistry::new();
         self.world.publish_metrics(&mut reg);

@@ -32,9 +32,13 @@ fn build(segment_size: u16, rounds: u64, crash: Option<(VTime, u16)>) -> System 
     b.build()
 }
 
-fn digest_of(mut sys: System) -> RunDigest {
+fn run(mut sys: System) -> System {
     assert!(sys.run(DEADLINE), "workload must complete");
-    sys.digest()
+    sys
+}
+
+fn digest_of(sys: System) -> RunDigest {
+    run(sys).digest()
 }
 
 /// A cluster on the far side of a segment boundary dies while its
@@ -74,22 +78,55 @@ fn same_segment_crash_matches_fault_free_twin() {
 /// store-and-forward must not alter.
 #[test]
 fn segmentation_preserves_per_cluster_results() {
-    let broadcast = digest_of(build(0, 25, None));
+    let mut broadcast = run(build(0, 25, None));
     // One segment spanning the whole fleet: the fabric path with no
     // gateways in play.
-    let one_segment = digest_of(build(CLUSTERS, 25, None));
+    let mut one_segment = run(build(CLUSTERS, 25, None));
     // Two segments: every ring neighbour pair at the boundary crosses.
-    let two_segments = digest_of(build(4, 25, None));
+    let mut two_segments = run(build(4, 25, None));
+    let (broadcast_d, one_d, two_d) =
+        (broadcast.digest(), one_segment.digest(), two_segments.digest());
     assert_eq!(
-        broadcast.exits, one_segment.exits,
+        broadcast_d.exits, one_d.exits,
         "a fleet-wide segment must reproduce the broadcast domain's exits"
     );
     assert_eq!(
-        broadcast.exits, two_segments.exits,
+        broadcast_d.exits, two_d.exits,
         "gateway store-and-forward must not change any process's result"
     );
-    assert_eq!(broadcast.terminals, two_segments.terminals);
-    assert_eq!(broadcast.files, two_segments.files);
+    assert_eq!(broadcast_d.terminals, two_d.terminals);
+    assert_eq!(broadcast_d.files, two_d.files);
+
+    // The published fleet totals agree with the kernel's ledgers across
+    // gateways, and their names do not depend on the fleet's shape.
+    let names =
+        |sys: &System| sys.metrics().counters().map(|(n, _)| n.to_string()).collect::<Vec<_>>();
+    let expected = names(&broadcast);
+    assert_eq!(names(&one_segment), expected);
+    assert_eq!(names(&two_segments), expected);
+    assert_eq!(names(&SystemBuilder::new(3).build()), expected);
+    assert_ledgers_agree(&two_segments);
+    assert!(two_segments.metrics().get("fabric.gateway_frames") > 0, "no frame crossed");
+}
+
+/// The published bus ledgers agree with the kernel's: the bus carried
+/// exactly the frames and bytes the kernel sent, every retry window is a
+/// protocol or failover retransmission, and busy time splits into the
+/// kernel's transmissions plus gateway-forwarded copies.
+fn assert_ledgers_agree(sys: &System) {
+    let m = sys.metrics();
+    let pair = |field: &str| m.get(&format!("bus.a.{field}")) + m.get(&format!("bus.b.{field}"));
+    assert_eq!(pair("frames"), m.get("kernel.bus_frames"));
+    assert_eq!(pair("bytes"), m.get("kernel.bus_bytes"));
+    assert_eq!(
+        pair("retries"),
+        m.get("kernel.proto_retransmits") + m.get("kernel.frames_retransmitted")
+    );
+    assert_eq!(
+        pair("busy_ticks"),
+        m.get("kernel.bus_busy_ticks") + m.get("fabric.gateway_forward_ticks")
+    );
+    assert_eq!(m.get("kernel.now_ticks"), sys.now().ticks());
 }
 
 /// `k` compute loops and a pingpong responder on cluster 0 (two work

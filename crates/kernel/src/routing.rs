@@ -425,15 +425,12 @@ impl RoutingTable {
 
     /// Adds one unit of rollforward suppression to the entry (a backup
     /// write count arriving after promotion), keeping the index exact.
-    pub fn add_suppress(&mut self, end: &ChanEnd) -> bool {
-        let Some(e) = self.primary.get_mut(end) else {
-            return false;
-        };
+    pub fn add_suppress(&mut self, end: &ChanEnd) {
+        let Some(e) = self.primary.get_mut(end) else { return };
         e.suppress_writes += 1;
         if e.suppress_writes == 1 {
             self.suppressed.entry(e.owner).or_default().insert(*end);
         }
-        true
     }
 
     /// Whether any live end owned by `pid` has a queued message.

@@ -19,8 +19,6 @@ pub struct ClusterStats {
     pub exec_busy: Dur,
     /// Work-processor time spent inside crash handling (§7.10.1).
     pub crash_busy: Dur,
-    /// Frames transmitted by this cluster.
-    pub frames_sent: u64,
     /// Delivery tags processed (a 3-way frame counts up to 3 across the
     /// system).
     pub deliveries: u64,
@@ -28,8 +26,6 @@ pub struct ClusterStats {
     pub primary_msgs: u64,
     /// Messages saved for destination backups.
     pub backup_msgs: u64,
-    /// Sender-backup write-count increments.
-    pub write_counts: u64,
     /// Sync operations performed by primaries in this cluster.
     pub syncs: u64,
     /// Full data-space checkpoints (the §2 comparator strategy).
@@ -221,9 +217,10 @@ impl WorldStats {
         self.recoveries.iter().filter_map(|r| r.latency()).max()
     }
 
-    /// Publishes every ledger — global, per-cluster, and the recovery
-    /// latency histogram — into the metrics registry under `kernel.*`
-    /// and `cluster.<i>.*` names.
+    /// Publishes the fleet-wide ledgers into the metrics registry under
+    /// static `kernel.*` names. Per-cluster figures stay in
+    /// [`Self::clusters`] and recovery latencies in [`Self::recoveries`];
+    /// readers take those from the ledger itself.
     pub fn publish_metrics(&self, reg: &mut auros_sim::MetricsRegistry) {
         for (name, v) in [
             ("kernel.bus_frames", self.bus_frames),
@@ -259,32 +256,6 @@ impl WorldStats {
             ("kernel.now_ticks", self.now.ticks()),
         ] {
             reg.set(name, v);
-        }
-        for (i, c) in self.clusters.iter().enumerate() {
-            for (field, v) in [
-                ("work_busy_ticks", c.work_busy.as_ticks()),
-                ("exec_busy_ticks", c.exec_busy.as_ticks()),
-                ("crash_busy_ticks", c.crash_busy.as_ticks()),
-                ("frames_sent", c.frames_sent),
-                ("deliveries", c.deliveries),
-                ("primary_msgs", c.primary_msgs),
-                ("backup_msgs", c.backup_msgs),
-                ("write_counts", c.write_counts),
-                ("syncs", c.syncs),
-                ("checkpoints", c.checkpoints),
-                ("pages_flushed", c.pages_flushed),
-                ("page_faults", c.page_faults),
-                ("backups_created", c.backups_created),
-                ("promotions", c.promotions),
-                ("suppressed_sends", c.suppressed_sends),
-            ] {
-                reg.set_owned(format!("cluster.{i}.{field}"), v);
-            }
-        }
-        for r in &self.recoveries {
-            if let Some(l) = r.latency() {
-                reg.observe("kernel.recovery_latency_ticks", l.as_ticks());
-            }
         }
     }
 }

@@ -562,9 +562,9 @@ impl World {
         self.held_frames.len()
     }
 
-    /// Publishes every subsystem's ledgers into one registry: the world
-    /// stats (global and per-cluster), both bus ledgers, the link layer's
-    /// held-frame count, and whatever each live server publishes.
+    /// Publishes every subsystem's fleet totals into one registry: the
+    /// world stats, both bus ledgers, the link layer's held-frame count,
+    /// and whatever each live server publishes.
     pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
         self.stats.publish_metrics(reg);
         self.bus.publish_metrics(reg);
@@ -694,7 +694,6 @@ impl World {
         let exec_ready = self.clusters[ci].exec_free.max(ready_at) + cost::EXEC_SEND;
         self.clusters[ci].exec_free = exec_ready;
         self.stats.clusters[ci].exec_busy += cost::EXEC_SEND;
-        self.stats.clusters[ci].frames_sent += 1;
         // …stamps it with link sequence numbers and the header
         // checksum, and transmits it once over the intercluster bus.
         let mut frame = frame;
@@ -1313,21 +1312,17 @@ impl World {
     /// §7.4.2 (3): count and discard at the sender's backup. The §10
     /// extension also logs any piggybacked nondeterministic results.
     fn deliver_sender_backup(&mut self, cid: ClusterId, end: ChanEnd, msg: &Message) {
-        let ci = cid.0 as usize;
-        let c = &mut self.clusters[ci];
+        let c = &mut self.clusters[cid.0 as usize];
         if !msg.nondet.is_empty() {
             c.nondet_logs.entry(msg.src).or_default().extend(msg.nondet.iter().copied());
         }
         if let Some(be) = c.routing.backup_mut(&end) {
             be.writes_since_sync += 1;
-            self.stats.clusters[ci].write_counts += 1;
             return;
         }
         // Promoted mid-flight: the count becomes a suppression credit.
-        if c.routing.primary(&end).is_some_and(|e| !auros_bus::proto::is_kernel_pid(e.owner))
-            && c.routing.add_suppress(&end)
-        {
-            self.stats.clusters[ci].write_counts += 1;
+        if c.routing.primary(&end).is_some_and(|e| !auros_bus::proto::is_kernel_pid(e.owner)) {
+            c.routing.add_suppress(&end);
         }
     }
 

@@ -27,7 +27,7 @@ pub fn classify(rel: &Path) -> CrateClass {
 }
 
 /// Recursively collects every `.rs` file under `root`, sorted for
-/// deterministic reporting, skipping [`SKIP_DIRS`].
+/// deterministic reporting, skipping `SKIP_DIRS`.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];

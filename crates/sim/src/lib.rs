@@ -6,8 +6,10 @@
 //!
 //! Everything in the auros workspace runs on top of this crate: a virtual
 //! clock ([`VTime`]), an event queue with deterministic tie-breaking
-//! ([`EventQueue`]), a seeded random-number generator ([`DetRng`]), and a
-//! structured trace log ([`trace::TraceLog`]).
+//! ([`EventQueue`]), a seeded random-number generator ([`DetRng`]), a
+//! structured trace log ([`trace::TraceLog`]), and the registry of
+//! statically named fleet totals the other crates publish their typed
+//! ledgers into ([`MetricsRegistry`]).
 //!
 //! The whole point of the substrate is *replayability*: a simulation run is
 //! a pure function of its inputs (configuration, seed, workload, fault
@@ -24,7 +26,7 @@ pub mod time;
 pub mod trace;
 
 pub use event::{EventQueue, ScheduledAt};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use rng::DetRng;
 pub use time::{Dur, VTime};
 pub use trace::{

@@ -1,127 +1,21 @@
-//! The metrics registry: one place every subsystem publishes its ledgers.
+//! The metrics registry: a fleet-wide snapshot of the typed ledgers.
 //!
-//! The kernel, bus, file server, and page server each accumulate ad-hoc
-//! counters; experiments and the run report want them in one namespace.
-//! [`MetricsRegistry`] is that namespace: a deterministic, allocation-honest
-//! map of named counters plus power-of-two-bucket histograms of virtual-time
-//! (or size) samples. Everything is integer arithmetic — the determinism
-//! rules (auros-lint D4) ban floats in sim crates, and nothing here needs
-//! them: quantiles are answered as bucket upper bounds, which is all the
-//! experiment tables print.
-//!
-//! Names are dotted paths (`bus.a.frames`, `cluster.0.syncs`,
-//! `kernel.recovery_latency`). Iteration order is the `BTreeMap` name
-//! order, so a rendered registry is byte-stable across runs.
-//!
-//! Hot-path bumps ([`MetricsRegistry::add`], `set`, `observe`) take
-//! `&'static str` so a counter increment allocates nothing once the key
-//! exists — the map stores `Cow<'static, str>` keys and borrows the
-//! static name even on first insert. Names built at run time (per-cluster
-//! paths like `cluster.7.syncs`) go through the `*_owned` variants, which
-//! are for publish-once call sites, not per-event paths.
+//! The counters themselves live in typed ledgers — the kernel's
+//! `WorldStats`/`ClusterStats`, the bus's `BusCounters`, each server's
+//! fields — and every consumer that wants a per-cluster or per-segment
+//! figure reads those directly. [`MetricsRegistry`] is the one flat view
+//! on top: each subsystem publishes its fleet totals under static dotted
+//! names (`kernel.bus_frames`, `bus.a.frames`, `pager.pageouts`), so the
+//! set of names does not grow with the fleet and a publish builds no
+//! strings. Iteration follows the `BTreeMap` name order, so a snapshot is
+//! byte-stable across runs.
 
-use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-/// Number of histogram buckets: bucket `i` holds samples whose bit length
-/// is `i` (bucket 0 = the value 0, bucket i = `2^(i-1) ..= 2^i - 1`).
-const BUCKETS: usize = 65;
-
-/// A histogram over `u64` samples with power-of-two buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { buckets: [0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-}
-
-impl Histogram {
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let b = (64 - v.leading_zeros()) as usize;
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Integer mean of the samples, or 0 if empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Upper bound of the bucket containing the `num/den` quantile
-    /// (e.g. `quantile(1, 2)` = median, `quantile(99, 100)` = p99).
-    /// Returns 0 if the histogram is empty.
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
-        if self.count == 0 || den == 0 {
-            return 0;
-        }
-        // Rank of the quantile sample, 1-based, clamped into range.
-        let rank = ((self.count * num).div_ceil(den)).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if b == 0 { 0 } else { (1u64 << (b - 1)).saturating_mul(2) - 1 };
-            }
-        }
-        self.max
-    }
-}
-
-/// A registry key: either a borrowed `&'static str` (the hot path — no
-/// allocation, ever) or an owned `String` built at publish time. Wrapped
-/// in a newtype because `Cow<'static, str>` itself has no `Borrow<str>`
-/// impl, which map lookups by `&str` need.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Name(Cow<'static, str>);
-
-impl Borrow<str> for Name {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
-/// A deterministic registry of named counters and histograms.
+/// A deterministic snapshot of named `u64` counters.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<Name, u64>,
-    hists: BTreeMap<Name, Histogram>,
+    counters: BTreeMap<&'static str, u64>,
 }
 
 impl MetricsRegistry {
@@ -130,36 +24,9 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `v` to the named counter (creating it at 0). Allocation-free:
-    /// the key borrows the static name.
-    pub fn add(&mut self, name: &'static str, v: u64) {
-        *self.counters.entry(Name(Cow::Borrowed(name))).or_insert(0) += v;
-    }
-
-    /// Sets the named counter to `v` (a gauge-style publish).
+    /// Sets the named counter to `v`.
     pub fn set(&mut self, name: &'static str, v: u64) {
-        self.counters.insert(Name(Cow::Borrowed(name)), v);
-    }
-
-    /// Records one sample into the named histogram (creating it empty).
-    pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.hists.entry(Name(Cow::Borrowed(name))).or_default().record(v);
-    }
-
-    /// [`Self::add`] for a name built at run time (e.g. a per-cluster
-    /// path). Pays one `String`; keep it out of per-event paths.
-    pub fn add_owned(&mut self, name: String, v: u64) {
-        *self.counters.entry(Name(Cow::Owned(name))).or_insert(0) += v;
-    }
-
-    /// [`Self::set`] for a name built at run time.
-    pub fn set_owned(&mut self, name: String, v: u64) {
-        self.counters.insert(Name(Cow::Owned(name)), v);
-    }
-
-    /// [`Self::observe`] for a name built at run time.
-    pub fn observe_owned(&mut self, name: String, v: u64) {
-        self.hists.entry(Name(Cow::Owned(name))).or_default().record(v);
+        self.counters.insert(name, v);
     }
 
     /// Value of a counter, or 0 if never published.
@@ -167,42 +34,9 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
     /// All counters, in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (&*k.0, *v))
-    }
-
-    /// All histograms, in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(k, v)| (&*k.0, v))
-    }
-
-    /// A byte-stable text rendering: one `name value` line per counter,
-    /// then one summary line per histogram.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, h) in self.histograms() {
-            let _ = writeln!(
-                out,
-                "{name} count={} sum={} min={} mean={} p50<={} p99<={} max={}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.mean(),
-                h.quantile(1, 2),
-                h.quantile(99, 100),
-                h.max()
-            );
-        }
-        out
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 }
 
@@ -211,60 +45,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_render_in_name_order() {
+    fn counters_are_set_and_listed_in_name_order() {
         let mut reg = MetricsRegistry::new();
-        reg.add("z.last", 1);
-        reg.add("a.first", 2);
-        reg.add("a.first", 3);
+        reg.set("z.last", 1);
+        reg.set("a.first", 2);
+        reg.set("a.first", 5);
         assert_eq!(reg.get("a.first"), 5);
         assert_eq!(reg.get("missing"), 0);
-        let r = reg.render();
-        assert!(r.find("a.first 5").unwrap() < r.find("z.last 1").unwrap(), "{r}");
-    }
-
-    #[test]
-    fn histogram_tracks_extremes_and_quantiles() {
-        let mut h = Histogram::default();
-        for v in [0u64, 1, 2, 3, 100, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1000);
-        assert!(h.quantile(1, 2) <= h.quantile(99, 100));
-        assert!(h.quantile(99, 100) >= 100);
-    }
-
-    #[test]
-    fn empty_histogram_answers_zeroes() {
-        let h = Histogram::default();
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0);
-        assert_eq!(h.quantile(1, 2), 0);
-    }
-
-    #[test]
-    fn owned_and_static_names_share_one_counter() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("bus.a.frames", 2);
-        reg.add_owned("bus.a.frames".to_string(), 3);
-        assert_eq!(reg.get("bus.a.frames"), 5);
-        reg.set_owned("cluster.0.syncs".to_string(), 7);
-        reg.observe_owned("lat".to_string(), 1);
-        reg.observe("lat", 3);
-        assert_eq!(reg.get("cluster.0.syncs"), 7);
-        assert_eq!(reg.histogram("lat").map(|h| h.count()), Some(2));
-    }
-
-    #[test]
-    fn observe_routes_to_named_histograms() {
-        let mut reg = MetricsRegistry::new();
-        reg.observe("lat", 7);
-        reg.observe("lat", 9);
-        let h = reg.histogram("lat").expect("recorded");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 16);
-        assert!(reg.histogram("other").is_none());
+        let names: Vec<_> = reg.counters().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a.first", "z.last"]);
     }
 }

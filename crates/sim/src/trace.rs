@@ -1051,13 +1051,6 @@ impl TraceLog {
         self.events.iter().filter(|e| pred(&e.kind)).count()
     }
 
-    /// Count of retained events of one category whose rendered text
-    /// contains `needle`. Prefer [`count_where`](Self::count_where) with a
-    /// typed match; this exists for quick exploratory assertions.
-    pub fn count_matching(&self, cat: TraceCategory, needle: &str) -> usize {
-        self.of(cat).filter(|e| e.kind.to_string().contains(needle)).count()
-    }
-
     /// The rolling fingerprint of one category: an FNV-1a hash of every
     /// event of that category ever emitted to this log (0 = none yet).
     /// Unaffected by ring eviction and by which *other* categories are
@@ -1180,7 +1173,6 @@ mod tests {
     fn capture_all_takes_everything() {
         let mut log = TraceLog::capture_all();
         log.emit(VTime(1), Loc::Cluster(3), TraceKind::ClusterCrashed);
-        assert_eq!(log.count_matching(TraceCategory::Crash, "cluster crashed"), 1);
         assert_eq!(log.count_where(|k| matches!(k, TraceKind::ClusterCrashed)), 1);
     }
 

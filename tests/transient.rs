@@ -11,7 +11,7 @@
 use auros::bus::BusKind;
 use auros::chaos;
 use auros::oracle::check_survival;
-use auros::{programs, BackupMode, Dur, SystemBuilder, VTime};
+use auros::{programs, BackupMode, Dur, System, SystemBuilder, VTime};
 
 /// Hard stop for each run, far beyond normal completion.
 const DEADLINE: VTime = VTime(5_000_000);
@@ -23,6 +23,26 @@ fn workload(b: &mut SystemBuilder) {
     b.spawn_with_mode(0, programs::pingpong("wire", 40, true), BackupMode::Fullback);
     b.spawn_with_mode(1, programs::pingpong("wire", 40, false), BackupMode::Fullback);
     b.spawn_with_mode(2, programs::file_writer("/wire", 6, 32), BackupMode::Fullback);
+}
+
+/// The published bus ledgers agree with the kernel's: the bus carried
+/// exactly the frames and bytes the kernel sent, every retry window is a
+/// protocol or failover retransmission, and busy time splits into the
+/// kernel's transmissions plus gateway-forwarded copies.
+fn assert_ledgers_agree(sys: &System) {
+    let m = sys.metrics();
+    let pair = |field: &str| m.get(&format!("bus.a.{field}")) + m.get(&format!("bus.b.{field}"));
+    assert_eq!(pair("frames"), m.get("kernel.bus_frames"));
+    assert_eq!(pair("bytes"), m.get("kernel.bus_bytes"));
+    assert_eq!(
+        pair("retries"),
+        m.get("kernel.proto_retransmits") + m.get("kernel.frames_retransmitted")
+    );
+    assert_eq!(
+        pair("busy_ticks"),
+        m.get("kernel.bus_busy_ticks") + m.get("fabric.gateway_forward_ticks")
+    );
+    assert_eq!(m.get("kernel.now_ticks"), sys.now().ticks());
 }
 
 fn clean_digest() -> auros::RunDigest {
@@ -63,6 +83,7 @@ fn drop_corrupt_duplicate_delay_mix_is_invisible_to_applications() {
     assert!(s.proto_retransmits >= 3, "drops and corruption all force retransmission");
     assert!(s.dup_suppressed >= 1, "the echoed frame must be suppressed");
     assert_eq!(s.frames_abandoned, 0, "no frame may be given up under this mix");
+    assert_ledgers_agree(&sys);
 }
 
 #[test]
@@ -127,6 +148,7 @@ fn flaky_bus_window_trips_quarantine_then_probes_heal_it() {
         !sys.world.bus.is_quarantined(BusKind::A) && !sys.world.bus.is_quarantined(BusKind::B),
         "no bus may stay benched at rest"
     );
+    assert_ledgers_agree(&sys);
 }
 
 #[test]
