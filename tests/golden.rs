@@ -87,6 +87,50 @@ fn golden_saturated_cluster() {
     assert_eq!(sys.world.now(), golden::SATURATED_END, "final tick changed");
 }
 
+/// Every lifecycle path of recovery in one run: a crash of cluster 0
+/// promotes a fullback behind its gate, places its new backup and sends
+/// the rebuild sync (§7.10.2, §7.3); it also takes the backups of a
+/// halfback and of the servers, which the restore of cluster 0
+/// re-protects (§7.10.1). One process fails alone and is promoted
+/// (§10), a residency limit makes compute processes block on pages
+/// (§7.6), and a file writer keeps the file server cycling between idle
+/// and runnable. Pins the digest, every trace category's fingerprint
+/// and the final tick, so any change to the order of a recovery's
+/// events shows here.
+#[test]
+fn golden_recovery() {
+    use auros::sim::TraceKind;
+    use auros::BackupMode;
+    let mut b = SystemBuilder::new(5);
+    b.config_mut().resident_page_limit = Some(4);
+    b.spawn_with_mode(0, programs::pingpong("rf", 120, true), BackupMode::Fullback);
+    b.spawn_with_mode(2, programs::pingpong("rf", 120, false), BackupMode::Fullback);
+    b.spawn_with_mode(3, programs::pingpong("rh", 200, true), BackupMode::Halfback);
+    b.spawn_with_mode(4, programs::pingpong("rh", 200, false), BackupMode::Halfback);
+    let lone = b.spawn_with_mode(2, programs::compute_loop(80, 10), BackupMode::Halfback);
+    b.spawn_with_mode(1, programs::file_writer("/r", 40, 128), BackupMode::Halfback);
+    b.crash_at(VTime(8_000), 0);
+    b.fail_process_at(VTime(15_000), lone);
+    b.restore_at(VTime(30_000), 0);
+    let mut sys = b.build();
+    sys.world.trace = TraceLog::capture_all();
+    assert!(sys.run(DEADLINE));
+    let count = |f: fn(&TraceKind) -> bool| sys.world.trace.count_where(f);
+    assert!(count(|k| matches!(k, TraceKind::BackupPlaced { .. })) >= 1, "a fullback is placed");
+    assert_eq!(count(|k| matches!(k, TraceKind::PartialFailure { .. })), 1);
+    assert_eq!(count(|k| matches!(k, TraceKind::ClusterRestored)), 1);
+    let rebuilds = count(|k| matches!(k, TraceKind::SyncApplied { is_new: true, .. }));
+    assert!(rebuilds >= 4, "placement and restore create new backups: {rebuilds}");
+    assert!(count(|k| matches!(k, TraceKind::PageInstalled { .. })) > 0, "pages fault back in");
+    check("recovery", sys.digest().fingerprint(), golden::RECOVERY);
+    assert_eq!(
+        sys.world.trace.fingerprints(),
+        golden::RECOVERY_TRACE,
+        "trace fingerprints changed"
+    );
+    assert_eq!(sys.world.now(), golden::RECOVERY_END, "final tick changed");
+}
+
 /// The pinned values. Regenerate by running with `--nocapture` after a
 /// deliberate semantic change and copying the printed values.
 mod golden {
@@ -106,4 +150,17 @@ mod golden {
         0,
     ];
     pub const SATURATED_END: auros::VTime = auros::VTime(255_000);
+    pub const RECOVERY: u64 = 0x322ec7a0014009f4;
+    pub const RECOVERY_TRACE: [u64; 9] = [
+        0xcda47a11b0b3981d,
+        0x452f5e919f1b982f,
+        0xb698486c57ed5fcd,
+        0x20e670285945330a,
+        0x5554878b379c3464,
+        0x729ac829144c62c7,
+        0,
+        0x741e36727770ab7c,
+        0,
+    ];
+    pub const RECOVERY_END: auros::VTime = auros::VTime(155_000);
 }
