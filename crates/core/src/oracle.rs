@@ -187,7 +187,7 @@ pub fn check_survival(sys: &System) -> SurvivalReport {
         }
         // 5: promoted backups reached live state.
         for (pid, pcb) in &c.procs {
-            if matches!(pcb.state, ProcessState::Blocked(BlockState::AwaitBackup { .. })) {
+            if matches!(pcb.state(), ProcessState::Blocked(BlockState::AwaitBackup { .. })) {
                 violations.push(format!("c{}: {pid} is still gated on backup re-creation", c.id.0));
             }
         }

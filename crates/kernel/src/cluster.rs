@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use auros_bus::proto::{BackupMode, ChanEnd, KernelState, SharedImage};
+use auros_bus::proto::{BackupMode, KernelState, SharedImage};
 use auros_bus::{ClusterId, Frame, Pid};
 use auros_sim::VTime;
 use auros_vm::Program;
@@ -144,9 +144,6 @@ pub struct Cluster {
     pub outgoing_disabled: bool,
     /// Frames queued while transmission is disabled.
     pub outgoing_held: VecDeque<PendingFrame>,
-    /// Frames held because their destination fullback awaits a new
-    /// backup (§7.10.1 step 4).
-    pub fullback_held: Vec<PendingFrame>,
     /// End of the current crash-handling window, while one is active.
     pub crash_busy_until: Option<VTime>,
     /// Fire time of the `Dispatch` event a saturated scheduler queued
@@ -184,7 +181,6 @@ impl Cluster {
             exec_free: VTime::ZERO,
             outgoing_disabled: false,
             outgoing_held: VecDeque::new(),
-            fullback_held: Vec::new(),
             crash_busy_until: None,
             dispatch_at: None,
             directory: Directory::default(),
@@ -235,22 +231,6 @@ impl Cluster {
     pub fn in_crash_handling(&self, now: VTime) -> bool {
         self.crash_busy_until.is_some_and(|t| t > now)
     }
-}
-
-/// A channel end plus routing targets, resolved from a primary entry at
-/// send time — everything needed to build a frame's target list (§5.1).
-#[derive(Clone, Copy, Debug)]
-pub struct ResolvedRoute {
-    /// Peer's primary cluster (the message's real destination).
-    pub peer_primary: Option<ClusterId>,
-    /// Peer's backup cluster.
-    pub peer_backup: Option<ClusterId>,
-    /// Sender's backup cluster.
-    pub owner_backup: Option<ClusterId>,
-    /// The peer end the message is addressed to.
-    pub peer_end: ChanEnd,
-    /// The sender's own end (for the sender-backup tag).
-    pub own_end: ChanEnd,
 }
 
 #[cfg(test)]

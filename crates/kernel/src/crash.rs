@@ -9,7 +9,7 @@
 //! signal peripheral-server backups to begin recovery.
 
 use auros_bus::proto::{BackupMode, PagerRequest, ProcRequest, ProcessImage};
-use auros_bus::{ClusterId, DeliveryTag, Fd, Pid};
+use auros_bus::{ClusterId, DeliveryTag, Pid};
 use auros_sim::{Loc, TraceKind};
 use auros_vm::Machine;
 
@@ -17,7 +17,7 @@ use crate::cluster::Cluster;
 use crate::config::{cost, WORK_PROCESSORS};
 use crate::process::{BackupStatus, BlockState, Pcb, ProcessBody, ProcessState};
 use crate::server::ServerImage;
-use crate::world::{bootstrap_end, Event, World};
+use crate::world::{Event, World};
 
 impl World {
     /// A cluster dies (total failure, §3.1). Handling begins when the
@@ -203,8 +203,7 @@ impl World {
                     if pcb.is_dead() {
                         return;
                     }
-                    pcb.backup = BackupStatus::Deferred { cluster: new_cluster };
-                    pcb.rebuild_pending = true;
+                    pcb.backup = BackupStatus::Rebuild { cluster: new_cluster };
                 }
                 // The rebuild sync carries image, channels, saved queues
                 // and residual counts; its arrival creates the backup and
@@ -219,37 +218,40 @@ impl World {
                     Loc::Cluster(cid.0),
                     TraceKind::NoBackupCluster { pid: pid.0 },
                 );
-                if self.release_gated_fullback(cid, pid, BackupStatus::None) {
-                    self.clusters[ci].make_runnable(pid);
-                    self.try_unblock(cid, pid);
-                    self.try_dispatch(cid);
-                }
+                self.release_gated_fullback(cid, pid, BackupStatus::None);
             }
         }
     }
 
-    /// Releases a promoted fullback gated on [`BlockState::AwaitBackup`]
-    /// (§7.3) with its new protection status: the stashed pending call
-    /// becomes its block state, or it becomes runnable. Returns whether
-    /// `pid` was gated; the caller then makes it runnable and dispatches.
+    /// Gives a live `pid` its new protection status. A promoted fullback
+    /// gated on [`BlockState::AwaitBackup`] (§7.3) is released: the
+    /// stashed pending call becomes its block state, or it becomes
+    /// runnable, and it is dispatched.
     pub(crate) fn release_gated_fullback(
         &mut self,
         cid: ClusterId,
         pid: Pid,
         backup: BackupStatus,
-    ) -> bool {
-        let Some(pcb) = self.clusters[cid.0 as usize].procs.get_mut(&pid) else {
-            return false;
-        };
-        let ProcessState::Blocked(BlockState::AwaitBackup { then }) = &mut pcb.state else {
-            return false;
-        };
-        pcb.state = match then.take() {
-            Some(p) => ProcessState::Blocked(BlockState::Pending(p)),
-            None => ProcessState::Runnable,
+    ) {
+        let ci = cid.0 as usize;
+        let Some(pcb) = self.clusters[ci].procs.get_mut(&pid).filter(|p| !p.is_dead()) else {
+            return;
         };
         pcb.backup = backup;
-        true
+        let ProcessState::Blocked(BlockState::AwaitBackup { then }) = pcb.state() else {
+            return;
+        };
+        let to = match then {
+            Some(p) => ProcessState::Blocked(BlockState::Pending(p.clone())),
+            None => ProcessState::Runnable,
+        };
+        self.transition(cid, pid, to);
+        // Queued even when released into its pending call: try_dispatch
+        // skips the entry while it is blocked, and the wake that
+        // completes the call keeps this place in the run queue.
+        self.clusters[ci].make_runnable(pid);
+        self.try_unblock(cid, pid);
+        self.try_dispatch(cid);
     }
 
     /// Promotes a stored backup into a primary (§7.10.2).
@@ -285,8 +287,16 @@ impl World {
             return;
         };
         let is_server = matches!(body, ProcessBody::Server(_));
-        let mut pcb =
-            Pcb::new(pid, body, record.mode, bootstrap_end(pid, crate::world::ports::SIGNAL));
+        // Restore the interrupted call, if any. Fullbacks may not execute
+        // until a new backup exists (§7.3), so theirs waits behind the gate.
+        let gate_fullback = record.mode == BackupMode::Fullback;
+        let state = match record.kstate.pending.clone() {
+            then if gate_fullback => ProcessState::Blocked(BlockState::AwaitBackup { then }),
+            Some(p) => ProcessState::Blocked(BlockState::Pending(p)),
+            None if is_server => ProcessState::Idle,
+            None => ProcessState::Runnable,
+        };
+        let mut pcb = Pcb::new(pid, body, record.mode, state);
         pcb.parent = record.parent;
         pcb.sync_seq = record.sync_seq;
         pcb.fork_count = record.kstate.fork_count;
@@ -294,25 +304,11 @@ impl World {
         pcb.fds = record.kstate.fds.iter().copied().collect();
         pcb.bunches = record.kstate.bunches.iter().map(|(g, v)| (*g, v.clone())).collect();
         pcb.handlers = record.kstate.handlers.iter().copied().collect();
-        pcb.backup = BackupStatus::None;
         // §10: piggybacked nondeterministic results replay in order.
         if let Some(log) = self.clusters[ci].nondet_logs.remove(&pid) {
             pcb.nondet_replay = log;
         }
-        // Restore the interrupted call, if any. Fullbacks may not execute
-        // until a new backup exists (§7.3), so theirs waits behind the gate.
-        let gate_fullback = record.mode == BackupMode::Fullback;
-        pcb.state = match record.kstate.pending.clone() {
-            then if gate_fullback => ProcessState::Blocked(BlockState::AwaitBackup { then }),
-            Some(p) => ProcessState::Blocked(BlockState::Pending(p)),
-            None if is_server => ProcessState::Idle,
-            None => ProcessState::Runnable,
-        };
-        let prev = self.clusters[ci].procs.insert(pid, Box::new(pcb));
-        debug_assert!(prev.is_none_or(|p| p.is_dead()), "promotion over a live process");
-        if !is_server {
-            self.note_user_born(cid);
-        }
+        self.admit(cid, pcb);
         // Promote the saved routing entries: queues become live, write
         // counts become suppression budgets (§5.4).
         let ends = self.clusters[ci].routing.backup_ends_of(pid);
@@ -345,20 +341,16 @@ impl World {
         if gate_fullback {
             self.request_backup_placement(cid, pid, dead);
         } else {
-            // Wake immediately if its block condition is already
-            // satisfied by the saved queues.
-            match self.clusters[ci].procs.get(&pid).map(|p| p.state.clone()) {
-                Some(ProcessState::Runnable) => {
-                    self.clusters[ci].make_runnable(pid);
-                    self.try_dispatch(cid);
-                }
-                Some(ProcessState::Idle) => {
-                    self.try_unblock(cid, pid);
-                }
-                Some(ProcessState::Blocked(_)) => {
-                    self.try_unblock(cid, pid);
-                }
-                _ => {}
+            // Run it, or wake it at once if its block condition is
+            // already satisfied by the saved queues.
+            let runnable = self.clusters[ci]
+                .procs
+                .get(&pid)
+                .is_some_and(|p| *p.state() == ProcessState::Runnable);
+            if runnable {
+                self.wake(cid, pid);
+            } else {
+                self.try_unblock(cid, pid);
             }
         }
     }
@@ -382,15 +374,7 @@ impl World {
         // kernel-side entries are dropped (the backup's saved queues
         // hold everything unread since the last sync). No exit status is
         // recorded — the process is not finished, it is moving.
-        if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
-            let was_user = !pcb.is_server();
-            pcb.state = ProcessState::Killed;
-            pcb.run_token += 1;
-            if was_user {
-                self.note_user_dead(cid);
-            }
-        }
-        self.clusters[ci].unqueue(pid);
+        self.transition(cid, pid, ProcessState::Killed);
         let ends = self.clusters[ci].routing.ends_of(pid);
         for end in ends {
             self.clusters[ci].routing.remove_primary(&end);
@@ -471,15 +455,9 @@ impl World {
             .collect();
         for (host, pid) in candidates {
             if let Some(pcb) = self.cluster_mut(host).procs.get_mut(&pid) {
-                pcb.backup = BackupStatus::Deferred { cluster: cid };
-                pcb.rebuild_pending = true;
+                pcb.backup = BackupStatus::Rebuild { cluster: cid };
             }
             self.perform_sync(host, pid);
         }
     }
-}
-
-/// Test helper: the fd bound to an end, if any.
-pub fn fd_of(pcb: &Pcb, end: auros_bus::proto::ChanEnd) -> Option<Fd> {
-    pcb.fds.iter().find(|(_, e)| **e == end).map(|(fd, _)| *fd)
 }

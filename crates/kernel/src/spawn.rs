@@ -55,12 +55,8 @@ impl World {
         };
         assert_ne!(backup, Some(cluster), "backup must live in another cluster");
         let machine = auros_vm::Machine::new(program.clone());
-        let mut pcb = Pcb::new(
-            pid,
-            ProcessBody::User(Box::new(machine)),
-            mode,
-            bootstrap_end(pid, ports::SIGNAL),
-        );
+        let mut pcb =
+            Pcb::new(pid, ProcessBody::User(Box::new(machine)), mode, ProcessState::Runnable);
         pcb.backup = match backup {
             Some(b) => BackupStatus::At(b),
             None => BackupStatus::None,
@@ -92,8 +88,7 @@ impl World {
             );
             self.stats.clusters[b.0 as usize].backups_created += 1;
         }
-        self.clusters[cluster.0 as usize].procs.insert(pid, Box::new(pcb));
-        self.note_user_born(cluster);
+        self.admit(cluster, pcb);
         self.spawned.push(pid);
         self.spawned_pending.insert(pid);
         self.wake(cluster, pid);
@@ -119,13 +114,11 @@ impl World {
         // Peripheral servers are halfbacks: their primary and backup must
         // sit in the two clusters wired to the device (§7.3).
         let mode = BackupMode::Halfback;
-        let mut pcb =
-            Pcb::new(pid, ProcessBody::Server(logic), mode, bootstrap_end(pid, ports::SIGNAL));
+        let mut pcb = Pcb::new(pid, ProcessBody::Server(logic), mode, ProcessState::Idle);
         pcb.backup = match backup {
             Some(b) => BackupStatus::At(b),
             None => BackupStatus::None,
         };
-        pcb.state = ProcessState::Idle;
         if let Some(b) = backup {
             let ProcessBody::Server(logic) = &pcb.body else { unreachable!() };
             let image: SharedImage = Arc::new(ServerImage(logic.clone_image()));
@@ -144,7 +137,7 @@ impl World {
             );
             self.stats.clusters[b.0 as usize].backups_created += 1;
         }
-        self.clusters[cluster.0 as usize].procs.insert(pid, Box::new(pcb));
+        self.admit(cluster, pcb);
         if let Some(d) = device {
             self.server_devices.insert(pid, d);
         }

@@ -21,7 +21,7 @@ use auros_sim::{Loc, TraceKind};
 
 use crate::cluster::{BackupRecord, BirthRecord};
 use crate::config::cost;
-use crate::process::{BlockState, ProcessBody, ProcessState};
+use crate::process::{BackupStatus, BlockState, ProcessBody, ProcessState};
 use crate::routing::Queued;
 use crate::server::ServerImage;
 use crate::world::{kernel_port_end, ports, World};
@@ -137,7 +137,9 @@ impl World {
         if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
             pcb.reads_since_sync = 0;
             pcb.fuel_since_sync = 0;
-            pcb.rebuild_pending = false;
+            if let BackupStatus::Rebuild { cluster } = pcb.backup {
+                pcb.backup = BackupStatus::Deferred { cluster };
+            }
             // §10: the snapshot embodies the effects of every consumed
             // nondeterministic value; nothing before this point replays.
             pcb.pending_nondet.clear();
@@ -168,7 +170,7 @@ impl World {
         pcb.sync_seq += 1;
         let sync_seq = pcb.sync_seq;
         let closed = std::mem::take(&mut pcb.closed_since_sync);
-        let pending = match &pcb.state {
+        let pending = match pcb.state() {
             ProcessState::Blocked(BlockState::Pending(p)) => Some(p.clone()),
             _ => None,
         };
@@ -184,8 +186,9 @@ impl World {
             ProcessBody::User(m) => Arc::new(m.snapshot()),
             ProcessBody::Server(s) => Arc::new(ServerImage(s.clone_image())),
         };
-        let announce = pcb.rebuild_pending;
-        let rebuild = if pcb.rebuild_pending || sync_seq == 1 {
+        // A re-protecting sync announces the backup it creates.
+        let announce = matches!(pcb.backup, BackupStatus::Rebuild { .. });
+        let rebuild = if announce || sync_seq == 1 {
             let mut info = self.build_rebuild_info(cid, pid, backup_cluster);
             info.announce = announce;
             Some(info)
@@ -533,14 +536,7 @@ impl World {
             }
         }
         // The re-protected process itself resumes.
-        let backup = crate::process::BackupStatus::At(backup_at);
-        if self.release_gated_fullback(cid, pid, backup.clone()) {
-            self.clusters[ci].make_runnable(pid);
-            self.try_unblock(cid, pid);
-            self.try_dispatch(cid);
-        } else if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid).filter(|p| !p.is_dead()) {
-            pcb.backup = backup;
-        }
+        self.release_gated_fullback(cid, pid, BackupStatus::At(backup_at));
     }
 
     /// Marks the peer of a closed end gone; failing reads/writes wake,

@@ -97,8 +97,8 @@ impl World {
                 return;
             }
             pcb.fuel_since_sync += used;
-            pcb.state = ProcessState::Runnable;
         }
+        self.transition(cid, pid, ProcessState::Runnable);
         match exit {
             Exit::FuelOut => {
                 self.post_quantum(cid, pid, Dur::ZERO);
@@ -134,21 +134,15 @@ impl World {
     fn evict_excess(&mut self, cid: ClusterId, pid: Pid, limit: usize) {
         let ci = cid.0 as usize;
         loop {
-            let victim = {
-                let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) else { return };
-                let Some(m) = pcb.machine_mut() else { return };
-                if m.memory().resident_count() <= limit {
-                    return;
-                }
-                m.memory().eviction_victim()
+            let Some(m) = self.clusters[ci].procs.get_mut(&pid).and_then(|p| p.machine_mut())
+            else {
+                return;
             };
-            let Some((page, dirty)) = victim else { return };
-            let data = {
-                let pcb = self.clusters[ci].procs.get_mut(&pid).expect("checked above");
-                let m = pcb.machine_mut().expect("checked above");
-                let (data, _) = m.memory_mut().evict(page).expect("victim resident");
-                data
-            };
+            if m.memory().resident_count() <= limit {
+                return;
+            }
+            let Some((page, dirty)) = m.memory().eviction_victim() else { return };
+            let Some((data, _)) = m.memory_mut().evict(page) else { return };
             if dirty {
                 // A modified page being swapped out is sent to the page
                 // server (§7.6); clean pages are already in the account.
@@ -190,9 +184,9 @@ impl World {
         };
         // Drain blocking checkpoint-copy debt (§2 comparator).
         let kcost = kcost + std::mem::take(&mut pcb.checkpoint_debt);
-        if pcb.state == ProcessState::Runnable {
+        if *pcb.state() == ProcessState::Runnable {
             if kcost == Dur::ZERO {
-                self.clusters[ci].make_runnable(pid);
+                self.transition(cid, pid, ProcessState::Runnable);
             } else {
                 // Charge the kernel service time before the process can
                 // run again.
@@ -211,21 +205,11 @@ impl World {
             ProcessState::Exited(s) => s,
             _ => ERR,
         };
-        let (backup_cluster, is_server) = {
-            let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) else {
-                return;
-            };
-            if pcb.is_dead() {
-                return;
-            }
-            pcb.state = state;
-            pcb.run_token += 1;
-            (pcb.backup.cluster(), pcb.is_server())
+        let (backup_cluster, is_server) = match self.clusters[ci].procs.get(&pid) {
+            Some(pcb) if !pcb.is_dead() => (pcb.backup.cluster(), pcb.is_server()),
+            _ => return,
         };
-        self.clusters[ci].unqueue(pid);
-        if !is_server {
-            self.note_user_dead(cid);
-        }
+        self.transition(cid, pid, state);
         self.exits.insert(pid, status);
         self.spawned_pending.remove(&pid);
         self.stats.exits += 1;
@@ -263,50 +247,35 @@ impl World {
     // ------------------------------------------------------------------
 
     /// Rewinds the just-executed trap so it re-executes on wake-up.
-    fn rewind_trap(pcb: &mut Pcb) {
-        if let Some(m) = pcb.machine_mut() {
-            let pc = m.pc();
-            debug_assert!(pc > 0, "trap cannot be at pc 0 when rewinding");
-            m.set_pc(pc - 1);
-        }
-    }
-
-    fn block(&mut self, cid: ClusterId, pid: Pid, state: BlockState) {
-        let now = self.now();
-        let c = self.cluster_mut(cid);
-        if let Some(pcb) = c.procs.get_mut(&pid) {
-            pcb.state = ProcessState::Blocked(state);
-            pcb.wait_from.get_or_insert(now);
-        }
-        c.unqueue(pid);
+    fn rewind_trap(&mut self, cid: ClusterId, pid: Pid) {
+        self.with_machine(cid, pid, |m| {
+            debug_assert!(m.pc() > 0, "trap cannot be at pc 0 when rewinding");
+            m.set_pc(m.pc() - 1);
+        });
     }
 
     /// Blocks in a call whose request already left the cluster, completing
     /// it at once if the answer is already queued.
     fn block_pending(&mut self, cid: ClusterId, pid: Pid, call: PendingCall) {
-        self.block(cid, pid, BlockState::Pending(call));
+        self.transition(cid, pid, ProcessState::Blocked(BlockState::Pending(call)));
         self.try_unblock(cid, pid);
     }
 
     fn rewind_and_block(&mut self, cid: ClusterId, pid: Pid, state: BlockState) {
-        if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
-            Self::rewind_trap(pcb);
-        }
-        self.block(cid, pid, state);
+        self.rewind_trap(cid, pid);
+        self.transition(cid, pid, ProcessState::Blocked(state));
     }
 
     /// Blocks on a missing page and asks the page server for it.
     pub(crate) fn block_on_page(&mut self, cid: ClusterId, pid: Pid, page: PageNo) {
-        self.block(cid, pid, BlockState::Page { page });
+        self.transition(cid, pid, ProcessState::Blocked(BlockState::Page { page }));
         self.kernel_send_pager(cid, PagerRequest::PageIn { pid, page });
     }
 
     /// Rewinds the trap, then blocks on a missing page (guest-buffer
     /// faults inside syscall handling).
     fn rewind_and_block_on_page(&mut self, cid: ClusterId, pid: Pid, page: PageNo) {
-        if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
-            Self::rewind_trap(pcb);
-        }
+        self.rewind_trap(cid, pid);
         self.block_on_page(cid, pid, page);
     }
 
@@ -321,7 +290,7 @@ impl World {
         let Some(pcb) = self.clusters[ci].procs.get(&pid) else {
             return;
         };
-        let state = match &pcb.state {
+        let state = match pcb.state() {
             ProcessState::Blocked(b) => b.clone(),
             ProcessState::Idle => {
                 if self.server_has_work(cid, pid) {
@@ -435,20 +404,14 @@ impl World {
             Some(Payload::FsReply(FsReply::OpenReply { fd: f, init })) if f == fd => {
                 self.consume_front(cid, pid, fs_end);
                 self.create_primary_entry_from_init(cid, &init);
-                let pcb = self.clusters[ci].procs.get_mut(&pid).expect("blocked process exists");
-                pcb.fds.insert(fd, init.end);
-                if let Some(m) = pcb.machine_mut() {
-                    m.set_reg(R0, fd.0 as u64);
+                if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
+                    pcb.fds.insert(fd, init.end);
                 }
-                self.wake(cid, pid);
+                self.set_result_and_wake(cid, pid, fd.0 as u64);
             }
             Some(Payload::FsReply(FsReply::OpenFailed { fd: f, .. })) if f == fd => {
                 self.consume_front(cid, pid, fs_end);
-                let pcb = self.clusters[ci].procs.get_mut(&pid).expect("blocked process exists");
-                if let Some(m) = pcb.machine_mut() {
-                    m.set_reg(R0, ERR);
-                }
-                self.wake(cid, pid);
+                self.set_result_and_wake(cid, pid, ERR);
             }
             _ => {}
         }
@@ -486,11 +449,7 @@ impl World {
                 // Copy the reply into the guest buffer; a residency fault
                 // leaves the reply queued and fetches the page first.
                 let n = d.len().min(cap as usize);
-                let write = self.clusters[ci]
-                    .procs
-                    .get_mut(&pid)
-                    .and_then(|p| p.machine_mut())
-                    .map(|m| m.memory_mut().write(buf, &d[..n]));
+                let write = self.with_machine(cid, pid, |m| m.memory_mut().write(buf, &d[..n]));
                 match write {
                     Some(Access::Ok) | None => {
                         self.consume_front(cid, pid, end);
@@ -532,11 +491,7 @@ impl World {
     }
 
     fn set_result_and_wake(&mut self, cid: ClusterId, pid: Pid, value: u64) {
-        if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
-            if let Some(m) = pcb.machine_mut() {
-                m.set_reg(R0, value);
-            }
-        }
+        self.with_machine(cid, pid, |m| m.set_reg(R0, value));
         self.wake(cid, pid);
     }
 
@@ -618,7 +573,7 @@ impl World {
             if pcb.is_dead() {
                 return false;
             }
-            let sig_end = pcb.signal_end;
+            let sig_end = bootstrap_end(pid, ports::SIGNAL);
             let front =
                 self.clusters[ci].routing.primary(&sig_end).and_then(|e| e.queue.front()).and_then(
                     |q| match q.msg.payload {
@@ -654,11 +609,8 @@ impl World {
                             handler: handler as u64,
                         },
                     );
-                    let ok = self.clusters[ci]
-                        .procs
-                        .get_mut(&pid)
-                        .and_then(|p| p.machine_mut())
-                        .map(|m| m.enter_signal_handler(handler))
+                    let ok = self
+                        .with_machine(cid, pid, |m| m.enter_signal_handler(handler))
                         .unwrap_or(false);
                     if !ok {
                         self.finish_process(cid, pid, ProcessState::Killed);
@@ -676,6 +628,12 @@ impl World {
 
     fn handle_syscall(&mut self, cid: ClusterId, pid: Pid, sys: Sys) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
+        // Only a user process traps, so the machine is there; its
+        // argument registers are read once, before the call changes them.
+        let Some(args) = self.with_machine(cid, pid, |m| [m.reg(R1), m.reg(R2), m.reg(R3)]) else {
+            return fixed;
+        };
+        let [r1, r2, _] = args;
         match sys {
             Sys::GetPid => {
                 self.with_machine(cid, pid, |m| m.set_reg(R0, pid.0));
@@ -683,19 +641,15 @@ impl World {
             }
             Sys::Yield => fixed,
             Sys::SigHandler => {
-                let (sig, handler) = self
-                    .with_machine(cid, pid, |m| (Sig(m.reg(R1) as u8), m.reg(R2) as u32))
-                    .unwrap_or((Sig(0), 0));
                 if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
-                    pcb.handlers.insert(sig, handler);
+                    pcb.handlers.insert(Sig(r1 as u8), r2 as u32);
                 }
                 fixed
             }
             Sys::Bunch => {
-                let (group, fd) =
-                    self.with_machine(cid, pid, |m| (m.reg(R1), Fd(m.reg(R2) as u32))).unwrap();
+                let fd = Fd(r2 as u32);
                 if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
-                    let members = pcb.bunches.entry(group).or_default();
+                    let members = pcb.bunches.entry(r1).or_default();
                     if !members.contains(&fd) {
                         members.push(fd);
                     }
@@ -703,15 +657,14 @@ impl World {
                 fixed
             }
             Sys::Exit => {
-                let status = self.with_machine(cid, pid, |m| m.reg(R1)).unwrap_or(0);
-                self.finish_process(cid, pid, ProcessState::Exited(status));
+                self.finish_process(cid, pid, ProcessState::Exited(r1));
                 fixed
             }
-            Sys::Open => self.sys_open(cid, pid),
-            Sys::Close => self.sys_close(cid, pid),
-            Sys::Read => self.sys_read(cid, pid),
-            Sys::Write => self.sys_write(cid, pid),
-            Sys::Which => self.sys_which(cid, pid),
+            Sys::Open => self.sys_open(cid, pid, args),
+            Sys::Close => self.sys_close(cid, pid, args),
+            Sys::Read => self.sys_read(cid, pid, args),
+            Sys::Write => self.sys_write(cid, pid, args),
+            Sys::Which => self.sys_which(cid, pid, args),
             Sys::Fork => self.sys_fork(cid, pid),
             Sys::Time => {
                 let end = bootstrap_end(pid, ports::PROC);
@@ -730,23 +683,21 @@ impl World {
                 fixed
             }
             Sys::Alarm => {
-                let after = self.with_machine(cid, pid, |m| m.reg(R1)).unwrap_or(0);
                 let end = bootstrap_end(pid, ports::PROC);
-                self.send_on_end(cid, pid, end, Payload::Proc(ProcRequest::Alarm { after }));
+                let alarm = ProcRequest::Alarm { after: r1 };
+                self.send_on_end(cid, pid, end, Payload::Proc(alarm));
                 self.with_machine(cid, pid, |m| m.set_reg(R0, 0));
                 fixed
             }
             Sys::Kill => {
-                let (target, sig) = self
-                    .with_machine(cid, pid, |m| (Pid(m.reg(R1)), Sig(m.reg(R2) as u8)))
-                    .unwrap_or((Pid(0), Sig(0)));
                 let end = bootstrap_end(pid, ports::PROC);
-                self.send_on_end(cid, pid, end, Payload::Proc(ProcRequest::Kill { target, sig }));
+                let kill = ProcRequest::Kill { target: Pid(r1), sig: Sig(r2 as u8) };
+                self.send_on_end(cid, pid, end, Payload::Proc(kill));
                 self.with_machine(cid, pid, |m| m.set_reg(R0, 0));
                 fixed
             }
-            Sys::Seek => self.sys_seek(cid, pid),
-            Sys::Unlink => self.sys_unlink(cid, pid),
+            Sys::Seek => self.sys_seek(cid, pid, args),
+            Sys::Unlink => self.sys_unlink(cid, pid, args),
             Sys::Rand => {
                 // §10: replay a logged result during rollforward, else
                 // decide fresh from an environmental source and hold it
@@ -782,9 +733,8 @@ impl World {
         self.cluster_mut(cid).procs.get_mut(&pid).and_then(|p| p.machine_mut()).map(f)
     }
 
-    fn sys_open(&mut self, cid: ClusterId, pid: Pid) -> Dur {
+    fn sys_open(&mut self, cid: ClusterId, pid: Pid, [ptr, len, _]: [u64; 3]) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
-        let (ptr, len) = self.with_machine(cid, pid, |m| (m.reg(R1), m.reg(R2))).unwrap();
         let len = len.min(256) as usize;
         let mut name_bytes = vec![0u8; len];
         let read = self
@@ -802,10 +752,10 @@ impl World {
             }
         }
         let name = String::from_utf8_lossy(&name_bytes).into_owned();
-        let (fd, opener_backup, opener_mode) = {
-            let pcb = self.cluster_mut(cid).procs.get_mut(&pid).expect("caller exists");
-            (pcb.alloc_fd(), pcb.backup.cluster(), pcb.mode)
+        let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) else {
+            return fixed;
         };
+        let (fd, opener_backup, opener_mode) = (pcb.alloc_fd(), pcb.backup.cluster(), pcb.mode);
         let req = FsRequest::Open {
             name: auros_bus::ChannelName::new(name),
             opener: pid,
@@ -833,9 +783,9 @@ impl World {
         fixed
     }
 
-    fn sys_close(&mut self, cid: ClusterId, pid: Pid) -> Dur {
+    fn sys_close(&mut self, cid: ClusterId, pid: Pid, [fd, _, _]: [u64; 3]) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
-        let fd = self.with_machine(cid, pid, |m| Fd(m.reg(R1) as u32)).unwrap();
+        let fd = Fd(fd as u32);
         let ci = cid.0 as usize;
         let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
             self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
@@ -863,10 +813,9 @@ impl World {
         fixed
     }
 
-    fn sys_read(&mut self, cid: ClusterId, pid: Pid) -> Dur {
+    fn sys_read(&mut self, cid: ClusterId, pid: Pid, [fd, buf, cap]: [u64; 3]) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
-        let (fd, buf, cap) =
-            self.with_machine(cid, pid, |m| (Fd(m.reg(R1) as u32), m.reg(R2), m.reg(R3))).unwrap();
+        let fd = Fd(fd as u32);
         let ci = cid.0 as usize;
         let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
             self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
@@ -951,10 +900,9 @@ impl World {
         }
     }
 
-    fn sys_write(&mut self, cid: ClusterId, pid: Pid) -> Dur {
+    fn sys_write(&mut self, cid: ClusterId, pid: Pid, [fd, buf, len]: [u64; 3]) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
-        let (fd, buf, len) =
-            self.with_machine(cid, pid, |m| (Fd(m.reg(R1) as u32), m.reg(R2), m.reg(R3))).unwrap();
+        let fd = Fd(fd as u32);
         let len = len.min(64 * 1024) as usize;
         let ci = cid.0 as usize;
         let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
@@ -962,7 +910,10 @@ impl World {
             return fixed;
         };
         let mut data = vec![0u8; len];
-        let read = self.with_machine(cid, pid, |m| m.memory_mut().read(buf, &mut data)).unwrap();
+        let Some(read) = self.with_machine(cid, pid, |m| m.memory_mut().read(buf, &mut data))
+        else {
+            return fixed;
+        };
         match read {
             Access::Ok => {}
             Access::Fault(p) => {
@@ -1025,9 +976,9 @@ impl World {
         }
     }
 
-    fn sys_seek(&mut self, cid: ClusterId, pid: Pid) -> Dur {
+    fn sys_seek(&mut self, cid: ClusterId, pid: Pid, [fd, pos, _]: [u64; 3]) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
-        let (fd, pos) = self.with_machine(cid, pid, |m| (Fd(m.reg(R1) as u32), m.reg(R2))).unwrap();
+        let fd = Fd(fd as u32);
         let ci = cid.0 as usize;
         let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
             self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
@@ -1047,9 +998,8 @@ impl World {
         fixed
     }
 
-    fn sys_unlink(&mut self, cid: ClusterId, pid: Pid) -> Dur {
+    fn sys_unlink(&mut self, cid: ClusterId, pid: Pid, [ptr, len, _]: [u64; 3]) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
-        let (ptr, len) = self.with_machine(cid, pid, |m| (m.reg(R1), m.reg(R2))).unwrap();
         let len = len.min(256) as usize;
         let mut name_bytes = vec![0u8; len];
         let read = self
@@ -1082,9 +1032,8 @@ impl World {
         fixed
     }
 
-    fn sys_which(&mut self, cid: ClusterId, pid: Pid) -> Dur {
+    fn sys_which(&mut self, cid: ClusterId, pid: Pid, [group, _, _]: [u64; 3]) -> Dur {
         let fixed = cost::SYSCALL_FIXED;
-        let group = self.with_machine(cid, pid, |m| m.reg(R1)).unwrap();
         match self.which_candidate(cid, pid, group) {
             Some(fd) => {
                 self.with_machine(cid, pid, |m| m.set_reg(R0, fd.0 as u64));
@@ -1138,6 +1087,7 @@ impl World {
         let best = self.clusters[ci].routing.earliest_ready(pid);
         let base = cost::SERVER_HANDLE;
         let effects = if let Some((_, end)) = best {
+            // auros-lint: allow(D5) -- earliest_ready named this end, so its queue has a front, and poison spares servers
             let q = self.consume_front(cid, pid, end).expect("front vanished");
             self.with_server_ctx(cid, pid, |logic, ctx| {
                 logic.on_message(q.msg.src, end, &q.msg.payload, ctx);
@@ -1152,9 +1102,7 @@ impl World {
                 self.with_server_ctx(cid, pid, |logic, ctx| logic.on_device(ctx))
             } else {
                 // Nothing to do: go idle without consuming time.
-                if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
-                    pcb.state = ProcessState::Idle;
-                }
+                self.transition(cid, pid, ProcessState::Idle);
                 return Dur::ZERO;
             }
         };
@@ -1192,17 +1140,13 @@ impl World {
         if counters_trip {
             self.perform_sync(cid, pid);
         }
-        // More work? Stay runnable; else idle.
-        if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
-            if pcb.is_dead() {
-                return;
-            }
-            pcb.state = ProcessState::Runnable;
+        // The step is done: idle, or runnable again if more work waits.
+        if self.clusters[ci].procs.get(&pid).is_none_or(|p| p.is_dead()) {
+            return;
         }
+        self.transition(cid, pid, ProcessState::Idle);
         if self.server_has_work(cid, pid) {
-            self.clusters[ci].make_runnable(pid);
-        } else if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
-            pcb.state = ProcessState::Idle;
+            self.transition(cid, pid, ProcessState::Runnable);
         }
         self.try_dispatch(cid);
     }
@@ -1329,8 +1273,7 @@ impl World {
         if let Some(birth) = self.clusters[ci].births.get(&(pid, fork_index)) {
             let child = birth.child;
             let synced = birth.child_synced || birth.child_exited;
-            {
-                let pcb = self.clusters[ci].procs.get_mut(&pid).expect("forker exists");
+            if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
                 pcb.fork_count += 1;
                 pcb.children.push(child);
                 if let Some(m) = pcb.machine_mut() {
@@ -1355,18 +1298,18 @@ impl World {
             TraceKind::Forked { pid: pid.0, child: child.0, index: fork_index },
         );
         // Clone the machine; UNIX-style return values.
-        let (mut child_machine, mode, backup_cluster, program) = {
-            let pcb = self.clusters[ci].procs.get_mut(&pid).expect("forker exists");
-            pcb.fork_count += 1;
-            pcb.children.push(child);
-            let mode = pcb.mode;
-            let backup = pcb.backup.cluster();
-            let m = pcb.machine_mut().expect("only user processes fork");
-            m.set_reg(R0, child.0);
-            let child_m = m.clone();
-            let program = m.program().clone();
-            (child_m, mode, backup, program)
+        let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) else {
+            return cost::SYSCALL_FIXED;
         };
+        let (mode, backup_cluster) = (pcb.mode, pcb.backup.cluster());
+        let Some(m) = pcb.machine_mut() else {
+            return cost::SYSCALL_FIXED;
+        };
+        m.set_reg(R0, child.0);
+        let mut child_machine = m.clone();
+        let program = m.program().clone();
+        pcb.fork_count += 1;
+        pcb.children.push(child);
         child_machine.set_reg(R0, 0);
         // The child's address space exists only here until its first
         // sync flushes it.
@@ -1382,16 +1325,15 @@ impl World {
             child,
             ProcessBody::User(Box::new(child_machine)),
             mode,
-            bootstrap_end(child, ports::SIGNAL),
+            ProcessState::Runnable,
         );
         pcb.parent = Some(pid);
         pcb.backup = backup;
         pcb.fds.insert(Fd(0), bootstrap_end(child, ports::FS));
         pcb.fds.insert(Fd(1), bootstrap_end(child, ports::PROC));
         pcb.next_fd = 2;
-        let prev = self.clusters[ci].procs.insert(child, Box::new(pcb));
+        let prev = self.admit(cid, pcb);
         assert!(prev.is_none(), "pid collision on fork: {child}");
-        self.note_user_born(cid);
         // Birth notice to the backup cluster (§7.7): creates routing
         // entries for the channels created on fork.
         if let Some(b) = backup_cluster.filter(|_| self.cfg.ft_enabled()) {
@@ -1475,27 +1417,20 @@ impl World {
             Loc::Cluster(cid.0),
             TraceKind::ForkReplayed { child: child.0, parent: parent.0 },
         );
-        let (mut machine, mode) = {
-            let pcb = self.clusters[ci].procs.get(&parent).expect("replaying parent");
-            let m = pcb.machine().expect("user process").clone();
-            (m, pcb.mode)
+        let Some((mut machine, mode)) =
+            self.clusters[ci].procs.get(&parent).and_then(|p| Some((p.machine()?.clone(), p.mode)))
+        else {
+            return;
         };
         machine.set_reg(R0, 0);
         machine.memory_mut().mark_all_dirty();
-        let mut pcb = Pcb::new(
-            child,
-            ProcessBody::User(Box::new(machine)),
-            mode,
-            bootstrap_end(child, ports::SIGNAL),
-        );
+        let mut pcb =
+            Pcb::new(child, ProcessBody::User(Box::new(machine)), mode, ProcessState::Runnable);
         pcb.parent = Some(parent);
-        pcb.backup = BackupStatus::None;
         pcb.fds.insert(Fd(0), bootstrap_end(child, ports::FS));
         pcb.fds.insert(Fd(1), bootstrap_end(child, ports::PROC));
         pcb.next_fd = 2;
-        let prev = self.clusters[ci].procs.insert(child, Box::new(pcb));
-        debug_assert!(prev.is_none_or(|p| p.is_dead()), "fork replay over a live child");
-        self.note_user_born(cid);
+        self.admit(cid, pcb);
         // Promote the child's backup entries (queues + write counts).
         let ends = self.clusters[ci].routing.backup_ends_of(child);
         for end in ends {
@@ -1609,7 +1544,9 @@ mod tests {
                 }
             }
             let m = Machine::new(ProgramBuilder::new("t").build());
-            let mut pcb = Pcb::new(OWNER, ProcessBody::User(Box::new(m)), BackupMode::Quarterback, end(0));
+            let body = ProcessBody::User(Box::new(m));
+            let mut pcb =
+                Pcb::new(OWNER, body, BackupMode::Quarterback, ProcessState::Runnable);
             for (fd, i) in bindings.iter().enumerate() {
                 // `ENDS` leaves the fd unbound.
                 if *i < ENDS {

@@ -131,7 +131,8 @@ waived with a reason.",
         title: "no unwrap/expect on fault-handling paths",
         explain: "D5 — no `.unwrap()`/`.expect()` on fault-handling paths (crash.rs,\n\
 sync.rs, routing.rs, server.rs, process.rs, checkpoint.rs,\n\
-supervise.rs, world.rs) without an inline waiver stating the invariant.\n\
+supervise.rs, world.rs, syscall.rs) without an inline waiver stating the\n\
+invariant.\n\
 \n\
 Crash handling and backup promotion (§7.10.1–§7.10.2) run precisely\n\
 when the system is already degraded; a panic there turns a survivable\n\
@@ -222,6 +223,7 @@ pub const FAULT_PATH_FILES: &[&str] = &[
     "checkpoint.rs",
     "supervise.rs",
     "world.rs",
+    "syscall.rs",
 ];
 
 /// Identifiers banned outright per rule, in deterministic crates.
@@ -629,8 +631,10 @@ mod tests {
         // degraded: it is a fault path like crash.rs.
         assert_eq!(rules_of(&det("supervise.rs", src)), vec!["D5"]);
         assert_eq!(rules_of(&det("kernel/src/supervise.rs", src)), vec!["D5"]);
-        // The world's event handlers deliver, promote and replay.
+        // The world's event handlers deliver, promote and replay; the
+        // trap handlers block, wake and kill processes mid-recovery.
         assert_eq!(rules_of(&det("world.rs", src)), vec!["D5"]);
+        assert_eq!(rules_of(&det("syscall.rs", src)), vec!["D5"]);
         assert!(det("lib.rs", src).diagnostics.is_empty());
     }
 
