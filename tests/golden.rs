@@ -131,6 +131,53 @@ fn golden_recovery() {
     assert_eq!(sys.world.now(), golden::RECOVERY_END, "final tick changed");
 }
 
+/// Every wire fault the bus model injects, in one run: a flaky window on
+/// bus A strikes enough consecutive windows to bench it, and probes heal
+/// it after the window (§7.4.2's dual pair); armed drop, corrupt,
+/// duplicate and delay one-shots hit single windows, one of them inside
+/// the flaky window; and a later failure of the active bus moves the
+/// in-flight frames to the standby (§7.1). Pins the digest, every trace
+/// category's fingerprint, the final tick and the bus ledgers, so any
+/// change to the order in which the bus grants, faults or fails over
+/// shows here.
+#[test]
+fn golden_wire_faults() {
+    use auros::bus::BusKind;
+    use auros::sim::TraceKind;
+    use auros::{BackupMode, Dur};
+    let mut b = SystemBuilder::new(3);
+    b.spawn_with_mode(0, programs::pingpong("w", 60, true), BackupMode::Fullback);
+    b.spawn_with_mode(1, programs::pingpong("w", 60, false), BackupMode::Fullback);
+    b.spawn_with_mode(2, programs::file_writer("/w", 12, 64), BackupMode::Fullback);
+    b.flaky_bus(VTime(4_000), VTime(14_000), BusKind::A);
+    b.drop_frame_at(VTime(5_000))
+        .corrupt_frame_at(VTime(18_000))
+        .duplicate_frame_at(VTime(21_000))
+        .delay_frame_at(VTime(2_000), Dur(3_000));
+    b.bus_fail_at(VTime(30_000));
+    let mut sys = b.build();
+    sys.world.trace = TraceLog::capture_all();
+    assert!(sys.run(DEADLINE));
+    let count = |f: fn(&TraceKind) -> bool| sys.world.trace.count_where(f);
+    assert!(count(|k| matches!(k, TraceKind::BusQuarantined { .. })) >= 1, "bus A is benched");
+    assert!(count(|k| matches!(k, TraceKind::ProbeHealed { .. })) >= 1, "a probe heals it");
+    assert!(count(|k| matches!(k, TraceKind::Retransmit { .. })) >= 1, "lost frames are resent");
+    assert!(count(|k| matches!(k, TraceKind::FrameHeld { .. })) >= 1, "the late frame is passed");
+    assert!(count(|k| matches!(k, TraceKind::BusFailover { .. })) >= 1, "the standby takes over");
+    let m = sys.metrics();
+    let ledgers: Vec<u64> = ["a", "b"]
+        .iter()
+        .flat_map(|bus| {
+            ["frames", "bytes", "busy_ticks", "retries", "failed", "quarantined"]
+                .map(|field| m.get(&format!("bus.{bus}.{field}")))
+        })
+        .collect();
+    assert_eq!(ledgers, golden::WIRE_BUS, "bus ledgers changed");
+    check("wire faults", sys.digest().fingerprint(), golden::WIRE);
+    assert_eq!(sys.world.trace.fingerprints(), golden::WIRE_TRACE, "trace fingerprints changed");
+    assert_eq!(sys.world.now(), golden::WIRE_END, "final tick changed");
+}
+
 /// The pinned values. Regenerate by running with `--nocapture` after a
 /// deliberate semantic change and copying the printed values.
 mod golden {
@@ -163,4 +210,19 @@ mod golden {
         0,
     ];
     pub const RECOVERY_END: auros::VTime = auros::VTime(155_000);
+    pub const WIRE: u64 = 0xda10aae96d61c29c;
+    pub const WIRE_TRACE: [u64; 9] = [
+        0xabf6bfed6632eca5,
+        0x1257aaba1600be6f,
+        0xb8299b423a9986ff,
+        0xd527ec37d499414e,
+        0x6af3d345a92ab347,
+        0,
+        0,
+        0,
+        0,
+    ];
+    pub const WIRE_END: auros::VTime = auros::VTime(60_094);
+    /// `bus.{a,b}.{frames,bytes,busy_ticks,retries,failed,quarantined}`.
+    pub const WIRE_BUS: [u64; 12] = [89, 6242, 2273, 3, 0, 0, 95, 10560, 2638, 2, 1, 0];
 }
