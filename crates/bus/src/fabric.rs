@@ -1,47 +1,91 @@
-//! The bus fabric: one broadcast domain, or a partitioned fleet of them.
+//! The bus fabric: the paper's one dual bus, optionally partitioned into
+//! a fleet of segments.
 //!
-//! The paper's machine has a single dual intercluster bus — every
-//! transmission serializes against every other (§7.4.2), which caps the
-//! fleet at 32 clusters. [`BusFabric`] keeps that model as its identity
-//! case (one segment, byte-for-byte the old [`BusSchedule`] behavior) and
-//! adds the fleet-scale generalization: the clusters are partitioned into
-//! fixed-size *segments*, each a full dual-bus broadcast domain with its
-//! own transmission schedule, joined by deterministic store-and-forward
-//! gateways.
+//! §7.4.2: "Since a cluster may transmit or receive only one message at a
+//! time, messages are never interleaved." The fabric grants each frame
+//! an exclusive transmission window; the frame is *delivered to every
+//! target cluster at the window's end*, in one simulation event, which
+//! realizes both atomicity properties of §5.1 structurally: all-or-none
+//! (one event delivers to all live targets) and non-interleaving
+//! (windows are disjoint and ordered).
+//!
+//! The Auragen 4000 has a **dual** intercluster bus (§7.1). [`BusFabric`]
+//! holds that pair once: which wire is active, which have failed or are
+//! benched by quarantine, the run of consecutive faulted windows, and
+//! the injected wire faults (armed one-shots and flaky windows). The
+//! standby takes over instantly when the active wire fails.
+//!
+//! The paper's machine serializes every transmission against every
+//! other, which caps it at 32 clusters. For fleet-scale runs the
+//! clusters may be partitioned into fixed-size *segments*, each with its
+//! own transmission timeline and traffic counters, joined by
+//! deterministic store-and-forward gateways. Health and fault injection
+//! stay fleet-wide: bus A dying means the A wire of every segment (the
+//! correlated-fault reading of §7.4), and a grant on any segment follows
+//! the same fault rule. With one segment (`segment_size = 0`) the fabric
+//! is the paper's single broadcast domain.
 //!
 //! A frame is granted a window on its **sender's home segment** only.
-//! Delivery to targets inside the segment happens at the window's end,
-//! exactly as before. If any target lives in another segment, the whole
-//! frame is delivered at window end **plus one fixed gateway latency**,
-//! and the gateway's forwarded copy occupies each remote segment's bus
-//! for the frame's transmission time. Keeping a single delivery instant
-//! for all targets preserves §5.1's all-or-none and non-interleaving
-//! properties per frame; determinism is untouched because routing is a
-//! pure function of cluster ids and the latency is a constant.
+//! Delivery to targets inside the segment happens at the window's end.
+//! If any target lives in another segment, the whole frame is delivered
+//! at window end **plus one fixed gateway latency**, and the gateway's
+//! forwarded copy occupies each remote segment's bus for the frame's
+//! transmission time. Keeping a single delivery instant for all targets
+//! preserves §5.1's all-or-none and non-interleaving properties per
+//! frame; determinism is untouched because routing is a pure function of
+//! cluster ids and the latency is a constant.
 
 use auros_sim::{Dur, VTime};
 
-use crate::schedule::{BusCounters, BusKind, BusSchedule, Grant, WireFault};
+use crate::schedule::{BusCounters, BusKind, Grant, WireFault};
 
-/// A partitioned intercluster bus: `ceil(clusters / segment_size)`
-/// independent dual-bus broadcast domains joined by gateways.
-///
-/// With one segment the fabric is a transparent wrapper around a single
-/// [`BusSchedule`] — the identity the determinism suite pins.
+/// One segment's transmission timeline and per-bus traffic counters.
+#[derive(Debug, Default)]
+struct Segment {
+    free_at: VTime,
+    counters: [BusCounters; 2],
+}
+
+/// A window during which one bus mangles every frame it carries.
+#[derive(Clone, Copy, Debug)]
+struct FlakyWindow {
+    from: VTime,
+    until: VTime,
+    bus: BusKind,
+}
+
+/// The dual intercluster bus: one pair's health and wire faults over
+/// `ceil(clusters / segment_size)` transmission timelines.
 #[derive(Debug)]
 pub struct BusFabric {
-    segments: Vec<BusSchedule>,
+    segments: Vec<Segment>,
     /// Clusters per segment; 0 means "unsegmented" (everything in
     /// segment 0), the paper's configuration.
     segment_size: u16,
     /// Fixed store-and-forward latency added when a frame leaves its
     /// home segment.
     gateway_latency: Dur,
-    /// One-shot faults armed fabric-wide (multi-segment only): the first
-    /// window granted anywhere at or after the arm time absorbs the
-    /// fault. Sorted by arm time; single-segment fabrics delegate to the
-    /// segment's own armed list instead.
+    /// The wire carrying traffic while it is healthy.
+    active: BusKind,
+    /// Whether each wire has failed for good, indexed by [`BusKind`].
+    failed: [bool; 2],
+    /// Whether each wire is benched by the kernel after repeated wire
+    /// faults (healthy hardware, out of service).
+    quarantined: [bool; 2],
+    /// Consecutive faulted windows per wire (reset by a clean window).
+    streak: [u32; 2],
+    /// One-shot armed faults: the first window starting at or after the
+    /// arm time absorbs the fault. Kept sorted by arm time, so only the
+    /// front can match a grant.
     armed: Vec<(VTime, WireFault)>,
+    /// Sustained flaky windows (deterministic per-bus fault storms).
+    flaky: Vec<FlakyWindow>,
+    /// Cycles the fault kind injected inside flaky windows.
+    flaky_seq: u64,
+    /// How many grants probed the fault state. Fault-free
+    /// configurations keep this at zero: the hot path pays nothing for
+    /// the fault machinery's existence.
+    fault_probes: u64,
     /// Frames that crossed a gateway.
     gateway_frames: u64,
     /// Ticks of remote-segment bus time consumed by forwarded copies.
@@ -51,29 +95,29 @@ pub struct BusFabric {
 impl BusFabric {
     /// A single-segment fabric: the paper's one broadcast domain.
     pub fn single() -> BusFabric {
-        BusFabric {
-            segments: vec![BusSchedule::new()],
-            segment_size: 0,
-            gateway_latency: Dur::ZERO,
-            armed: Vec::new(),
-            gateway_frames: 0,
-            gateway_forward_ticks: 0,
-        }
+        BusFabric::new(0, 0, Dur::ZERO)
     }
 
     /// A fabric for `clusters` clusters in segments of `segment_size`
     /// (0 = unsegmented). `gateway_latency` is charged to every frame
     /// that leaves its home segment.
     pub fn new(clusters: u16, segment_size: u16, gateway_latency: Dur) -> BusFabric {
-        if segment_size == 0 {
-            return BusFabric::single();
-        }
-        let n = (clusters as usize).div_ceil(segment_size as usize).max(1);
+        let n = match segment_size {
+            0 => 1,
+            size => (clusters as usize).div_ceil(size as usize).max(1),
+        };
         BusFabric {
-            segments: (0..n).map(|_| BusSchedule::new()).collect(),
+            segments: (0..n).map(|_| Segment::default()).collect(),
             segment_size,
             gateway_latency,
+            active: BusKind::A,
+            failed: [false; 2],
+            quarantined: [false; 2],
+            streak: [0; 2],
             armed: Vec::new(),
+            flaky: Vec::new(),
+            flaky_seq: 0,
+            fault_probes: 0,
             gateway_frames: 0,
             gateway_forward_ticks: 0,
         }
@@ -94,44 +138,16 @@ impl BusFabric {
         self.gateway_frames
     }
 
-    fn is_single(&self) -> bool {
-        self.segments.len() == 1
-    }
-
-    /// Applies a fabric-level armed one-shot to a fresh grant
-    /// (multi-segment only; single-segment fabrics arm the segment).
-    fn apply_fabric_fault(&mut self, res: &mut Grant) {
-        if res.fault.is_none() && self.armed.first().is_some_and(|(t, _)| *t <= res.start) {
-            res.fault = Some(self.armed.remove(0).1);
-        }
-    }
-
-    /// Books the forwarded copy's occupancy of every remote segment a
-    /// cross-segment frame reaches, and stretches delivery by the fixed
-    /// gateway latency. The forwarded copy starts no earlier than the
-    /// home window's end (store-and-forward).
-    fn forward_cross_segment<I>(&mut self, res: &mut Grant, xmit: Dur, remotes: I)
-    where
-        I: Iterator<Item = usize>,
-    {
-        let home_end = res.deliver_at;
-        let mut forwarded = false;
-        for seg in remotes {
-            if let Some(s) = self.segments.get_mut(seg) {
-                s.account_forward(home_end, xmit);
-                self.gateway_forward_ticks += xmit.as_ticks();
-                forwarded = true;
-            }
-        }
-        if forwarded {
-            self.gateway_frames += 1;
-            res.deliver_at += self.gateway_latency;
-        }
-    }
-
-    /// Reserves a first-attempt window for a frame from cluster `src` to
-    /// `targets`. The window is granted on the home segment; delivery is
-    /// stretched by the gateway latency iff any target is remote.
+    /// Reserves the next exclusive window for a frame's *first* attempt
+    /// from cluster `src` to `targets`.
+    ///
+    /// `earliest` is when the transmitting executive is ready; `xmit` is
+    /// the frame's transmission time (latency plus size cost, computed by
+    /// the caller's cost model). The window is granted on the home
+    /// segment, and the frame reaches all its targets at
+    /// `Grant::deliver_at` unless the window carries an injected fault;
+    /// delivery is stretched by the gateway latency iff any target is
+    /// remote. Returns `None` if no bus is healthy.
     pub fn reserve_routed<I>(
         &mut self,
         src: u16,
@@ -146,8 +162,9 @@ impl BusFabric {
         self.grant_routed(src, targets, earliest, xmit, bytes, false)
     }
 
-    /// [`Self::reserve_routed`] for a retransmission (accounted under
-    /// retries on the home segment, like [`BusSchedule::reserve_retry`]).
+    /// [`Self::reserve_routed`] for a *re-transmission* of a frame
+    /// already counted by it: accounted under `BusCounters::retries`,
+    /// never under `frames`/`bytes`.
     pub fn reserve_retry_routed<I>(
         &mut self,
         src: u16,
@@ -174,52 +191,100 @@ impl BusFabric {
     where
         I: Iterator<Item = u16>,
     {
+        let bus = self.active()?;
+        self.active = bus;
         let home = self.segment_of(src);
-        let seg = &mut self.segments[home];
-        let mut res = if retry {
-            seg.reserve_retry(earliest, xmit, bytes)
+        let start = self.segments[home].free_at.max(earliest);
+        let end = start + xmit;
+        self.segments[home].free_at = end;
+        let fault = self.pick_fault(bus, start);
+        let c = &mut self.segments[home].counters[bus.index()];
+        if retry {
+            c.retries += 1;
         } else {
-            seg.reserve(earliest, xmit, bytes)
-        }?;
-        if self.is_single() {
-            return Some(res); // Identity: nothing crosses, nothing armed here.
+            c.frames += 1;
+            c.bytes += bytes as u64;
         }
-        self.apply_fabric_fault(&mut res);
-        // Collect the distinct remote segments (tiny, ordered: targets
-        // come from a frame's target list).
+        c.busy += xmit.as_ticks();
+        let mut res = Grant { start, deliver_at: end, bus, fault };
+        // The distinct remote segments (tiny, ordered: targets come from
+        // a frame's target list). The forwarded copy occupies each one's
+        // active bus no earlier than the home window's end
+        // (store-and-forward), billed as busy time only.
+        let n = self.segments.len();
         let mut remotes: Vec<usize> =
-            targets.map(|t| self.segment_of(t)).filter(|&s| s != home).collect();
+            targets.map(|t| self.segment_of(t)).filter(|&s| s != home && s < n).collect();
         remotes.sort_unstable();
         remotes.dedup();
-        self.forward_cross_segment(&mut res, xmit, remotes.into_iter());
+        for &seg in &remotes {
+            let s = &mut self.segments[seg];
+            s.free_at = s.free_at.max(end) + xmit;
+            s.counters[bus.index()].busy += xmit.as_ticks();
+            self.gateway_forward_ticks += xmit.as_ticks();
+        }
+        if !remotes.is_empty() {
+            self.gateway_frames += 1;
+            res.deliver_at += self.gateway_latency;
+        }
         Some(res)
     }
 
-    /// Arms a one-shot transient fault. Single segment: on the segment
-    /// (identical to the historical behavior). Multi-segment: fabric-wide
-    /// — the first window granted anywhere at or after `at` absorbs it.
+    /// Arms a one-shot transient fault: the first window granted on any
+    /// segment whose start is at or after `at` absorbs it.
     pub fn arm_fault(&mut self, at: VTime, fault: WireFault) {
-        if self.is_single() {
-            self.segments[0].arm_fault(at, fault);
-        } else {
-            self.armed.push((at, fault));
-            self.armed.sort_by_key(|(t, _)| *t);
-        }
+        self.armed.push((at, fault));
+        self.armed.sort_by_key(|(t, _)| *t);
     }
 
-    /// Declares a flaky window on `bus` — on every segment's `bus` (a
-    /// fleet-wide storm on that wire of each dual pair).
+    /// Declares `[from, until)` a flaky window on `bus`: every frame it
+    /// carries with a window start inside the span is mangled, cycling
+    /// deterministically through drop/corrupt/drop/duplicate.
     pub fn add_flaky_window(&mut self, from: VTime, until: VTime, bus: BusKind) {
-        for seg in &mut self.segments {
-            seg.add_flaky_window(from, until, bus);
-        }
+        self.flaky.push(FlakyWindow { from, until, bus });
+    }
+
+    /// Whether any flaky window on `bus` covers `at`.
+    fn flaky_covers(&self, bus: BusKind, at: VTime) -> bool {
+        self.flaky.iter().any(|w| w.bus == bus && w.from <= at && at < w.until)
+    }
+
+    /// The fault a window starting at `start` on `bus` suffers: the
+    /// earliest due armed one-shot, else the flaky cycle, else none.
+    /// Every window extends or resets `bus`'s fault streak.
+    fn pick_fault(&mut self, bus: BusKind, start: VTime) -> Option<WireFault> {
+        let fault = if self.armed.is_empty() && self.flaky.is_empty() {
+            // The fault-free fast path: no probe of any fault structure.
+            None
+        } else {
+            self.fault_probes += 1;
+            // `armed` is sorted by arm time, so if any entry is due the
+            // front one is.
+            if self.armed.first().is_some_and(|(t, _)| *t <= start) {
+                Some(self.armed.remove(0).1)
+            } else if self.flaky_covers(bus, start) {
+                const CYCLE: [WireFault; 4] =
+                    [WireFault::Drop, WireFault::Corrupt, WireFault::Drop, WireFault::Duplicate];
+                let fault = CYCLE[(self.flaky_seq % 4) as usize];
+                self.flaky_seq += 1;
+                Some(fault)
+            } else {
+                None
+            }
+        };
+        let streak = &mut self.streak[bus.index()];
+        *streak = if fault.is_some() { *streak + 1 } else { 0 };
+        fault
+    }
+
+    /// Grants that probed the fault state (zero in fault-free runs).
+    pub fn fault_probes(&self) -> u64 {
+        self.fault_probes
     }
 
     /// Publishes the fabric's fleet totals: per bus, the traffic
     /// counters summed over segments (`bus.a.frames`, …) and whether the
-    /// wire is failed or quarantined on any segment, plus the gateway
-    /// counters. Every fabric publishes the same names, so a
-    /// single-segment fabric's `bus.*` values are its one segment's.
+    /// wire is failed or quarantined, plus the gateway counters. Every
+    /// fabric publishes the same names.
     pub fn publish_metrics(&self, reg: &mut auros_sim::MetricsRegistry) {
         for (bus, [frames, bytes, busy, retries, failed, quarantined]) in [
             (
@@ -250,7 +315,7 @@ impl BusFabric {
             reg.set(bytes, c.bytes);
             reg.set(busy, c.busy);
             reg.set(retries, c.retries);
-            reg.set(failed, self.segments.iter().any(|s| s.failed(bus)) as u64);
+            reg.set(failed, self.failed[bus.index()] as u64);
             reg.set(quarantined, self.is_quarantined(bus) as u64);
         }
         reg.set("fabric.segments", self.segments.len() as u64);
@@ -258,80 +323,88 @@ impl BusFabric {
         reg.set("fabric.gateway_forward_ticks", self.gateway_forward_ticks);
     }
 
-    // ------------------------------------------------------------------
-    // Whole-fabric bus management. The kernel's failover, quarantine and
-    // probe logic speaks in terms of "the" dual pair; on a multi-segment
-    // fabric these act on every segment (bus A dying means the A wire of
-    // every domain — the correlated-fault reading of §7.4).
-    // ------------------------------------------------------------------
-
-    /// Fails one wire of the dual pair, fleet-wide. Returns `true` if a
-    /// healthy bus remains (on the first segment — segments are
-    /// symmetric under fleet-wide failure).
-    pub fn fail(&mut self, bus: BusKind) -> bool {
-        let mut ok = true;
-        for seg in &mut self.segments {
-            ok = seg.fail(bus);
-        }
-        ok
-    }
-
-    /// Fails the active bus of every segment at `now`. Returns the
-    /// surviving bus kind, or `None` if the pair is exhausted.
-    pub fn fail_active(&mut self, now: VTime) -> Option<BusKind> {
-        let mut survivor = None;
-        for seg in &mut self.segments {
-            survivor = seg.fail_active(now);
-        }
-        survivor
-    }
-
-    /// The active bus (of segment 0; fleet-wide management keeps the
-    /// segments in lockstep).
+    /// The currently active bus, or `None` if both have failed (a double
+    /// fault outside the paper's fault model).
     pub fn active(&self) -> Option<BusKind> {
-        self.segments[0].active()
+        [self.active, self.active.other()].into_iter().find(|b| !self.failed[b.index()])
     }
 
-    /// Peak consecutive faulted windows on `bus` across segments.
+    /// Injects a failure of one bus; traffic fails over to the other.
+    ///
+    /// Returns `true` if a healthy bus remains.
+    pub fn fail(&mut self, bus: BusKind) -> bool {
+        self.failed[bus.index()] = true;
+        // A failed bus needs no quarantine, and stops being probed.
+        self.quarantined[bus.index()] = false;
+        let Some(next) = self.active() else { return false };
+        self.active = next;
+        // Necessity overrides quarantine: with only one bus left, a
+        // benched survivor goes back into service.
+        self.quarantined[next.index()] = false;
+        true
+    }
+
+    /// Fails the currently active bus at `now`; pending reservations on
+    /// it are void and the standby's timelines start fresh at `now`.
+    ///
+    /// Returns the newly active bus, or `None` if the pair is exhausted.
+    /// The caller owns retransmission of in-flight frames: every window
+    /// granted that had not completed by `now` must be re-reserved on
+    /// the survivor.
+    pub fn fail_active(&mut self, now: VTime) -> Option<BusKind> {
+        let dead = self.active()?;
+        self.fail(dead);
+        let survivor = self.active()?;
+        self.restart_timelines(now);
+        Some(survivor)
+    }
+
+    /// Consecutive faulted windows on `bus` (resets on a clean window).
     pub fn consecutive_faults(&self, bus: BusKind) -> u32 {
-        self.segments.iter().map(|s| s.consecutive_faults(bus)).max().unwrap_or(0)
+        self.streak[bus.index()]
     }
 
-    /// Benches `bus` on every segment (where a standby exists). Returns
-    /// the standby that took over, if any segment switched.
+    /// Benches `bus` after repeated wire faults and moves traffic to the
+    /// standby, whose timelines start fresh at `now`. Refuses (returns
+    /// `None`) when no healthy, unquarantined standby exists — with one
+    /// bus left, a misbehaving wire beats no wire.
     pub fn quarantine(&mut self, bus: BusKind, now: VTime) -> Option<BusKind> {
-        let mut switched = None;
-        for seg in &mut self.segments {
-            if let Some(s) = seg.quarantine(bus, now) {
-                switched = Some(s);
-            }
+        let standby = bus.other();
+        if self.failed[standby.index()]
+            || self.quarantined[standby.index()]
+            || self.failed[bus.index()]
+        {
+            return None;
         }
-        switched
+        self.quarantined[bus.index()] = true;
+        self.streak[bus.index()] = 0;
+        self.active = standby;
+        self.restart_timelines(now);
+        Some(standby)
     }
 
-    /// Whether `bus` is quarantined on any segment.
+    /// Whether `bus` is currently benched by quarantine.
     pub fn is_quarantined(&self, bus: BusKind) -> bool {
-        self.segments.iter().any(|s| s.is_quarantined(bus))
+        self.quarantined[bus.index()]
     }
 
-    /// Heals `bus` on every segment.
+    /// Returns a quarantined bus to standby duty after a clean probe.
     pub fn heal(&mut self, bus: BusKind) {
-        for seg in &mut self.segments {
-            seg.heal(bus);
-        }
+        self.quarantined[bus.index()] = false;
+        self.streak[bus.index()] = 0;
     }
 
-    /// Whether a probe on `bus` at `now` survives on every segment that
-    /// has it quarantined (a fleet probe heals all or nothing).
+    /// Whether a probe frame sent on `bus` at `now` would survive: the
+    /// bus is not failed and no flaky window covers `now`.
     pub fn probe_ok(&self, bus: BusKind, now: VTime) -> bool {
-        self.segments.iter().all(|s| s.probe_ok(bus, now))
+        !self.failed[bus.index()] && !self.flaky_covers(bus, now)
     }
 
     /// Traffic counters for one bus, summed across segments.
     pub fn counters(&self, bus: BusKind) -> BusCounters {
         let mut total = BusCounters::default();
         for seg in &self.segments {
-            let c = seg.counters(bus);
+            let c = seg.counters[bus.index()];
             total.frames += c.frames;
             total.bytes += c.bytes;
             total.busy += c.busy;
@@ -342,13 +415,15 @@ impl BusFabric {
 
     /// When segment 0's bus next becomes free (single-segment: the bus).
     pub fn free_at(&self) -> VTime {
-        self.segments[0].free_at()
+        self.segments[0].free_at
     }
 
-    /// Grants that probed fault structures, summed across segments
-    /// (zero in fault-free runs).
-    pub fn fault_probes(&self) -> u64 {
-        self.segments.iter().map(|s| s.fault_probes()).sum()
+    /// A switch to the other wire voids every segment's pending
+    /// windows: each timeline starts fresh at `now`.
+    fn restart_timelines(&mut self, now: VTime) {
+        for seg in &mut self.segments {
+            seg.free_at = now;
+        }
     }
 }
 
@@ -358,22 +433,6 @@ mod tests {
 
     fn targets(list: &[u16]) -> impl Iterator<Item = u16> + '_ {
         list.iter().copied()
-    }
-
-    #[test]
-    fn single_segment_is_the_identity() {
-        let mut plain = BusSchedule::new();
-        let mut fabric = BusFabric::single();
-        for i in 0..50u64 {
-            let a = plain.reserve(VTime(i * 3), Dur(10 + i % 4), 64).unwrap();
-            let b = fabric
-                .reserve_routed(0, targets(&[1, 2]), VTime(i * 3), Dur(10 + i % 4), 64)
-                .unwrap();
-            assert_eq!((a.start, a.deliver_at, a.bus), (b.start, b.deliver_at, b.bus));
-            assert!(b.fault.is_none());
-        }
-        assert_eq!(fabric.gateway_frames(), 0);
-        assert_eq!(fabric.counters(BusKind::A).frames, plain.counters(BusKind::A).frames);
     }
 
     #[test]
@@ -429,6 +488,29 @@ mod tests {
         assert_eq!(hit.fault, Some(WireFault::Drop), "fires on another segment's grant");
         let after = fabric.reserve_routed(16, targets(&[17]), VTime(6), Dur(4), 16).unwrap();
         assert_eq!(after.fault, None, "one-shot: consumed");
+    }
+
+    #[test]
+    fn segmented_grants_follow_the_one_fault_rule() {
+        let mut fabric = BusFabric::new(32, 8, Dur(30));
+        fabric.add_flaky_window(VTime(0), VTime(1_000), BusKind::A);
+        fabric.arm_fault(VTime(0), WireFault::Duplicate);
+        // Armed and flaky hit the same grant: the armed fault fires and
+        // the flaky cycle does not advance.
+        let r = fabric.reserve_routed(0, targets(&[1]), VTime(0), Dur(4), 16).unwrap();
+        assert_eq!(r.fault, Some(WireFault::Duplicate), "the armed one-shot comes first");
+        assert_eq!(fabric.consecutive_faults(BusKind::A), 1, "it counts toward the streak");
+        // Faulted grants on two other segments extend the same streak,
+        // and the flaky cycle starts at its first kind.
+        let r = fabric.reserve_routed(8, targets(&[9]), VTime(0), Dur(4), 16).unwrap();
+        assert_eq!(r.fault, Some(WireFault::Drop), "the flaky cycle did not advance");
+        let r = fabric.reserve_routed(16, targets(&[17]), VTime(0), Dur(4), 16).unwrap();
+        assert_eq!(r.fault, Some(WireFault::Corrupt));
+        assert_eq!(fabric.consecutive_faults(BusKind::A), 3, "one streak covers the fleet");
+        // One clean grant on any segment resets it.
+        let r = fabric.reserve_routed(24, targets(&[25]), VTime(1_000), Dur(4), 16).unwrap();
+        assert_eq!(r.fault, None);
+        assert_eq!(fabric.consecutive_faults(BusKind::A), 0, "a clean window resets the streak");
     }
 
     #[test]

@@ -28,16 +28,6 @@ impl fmt::Display for Pid {
     }
 }
 
-/// Index of a routing-table entry within one cluster's routing table.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EntryId(pub u32);
-
-impl fmt::Display for EntryId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}", self.0)
-    }
-}
-
 /// A channel file descriptor, local to one process (§7.4.1 keeps the UNIX
 /// term even though channels need not represent files).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -120,7 +110,6 @@ mod tests {
     fn display_forms() {
         assert_eq!(ClusterId(3).to_string(), "c3");
         assert_eq!(Pid(12).to_string(), "p12");
-        assert_eq!(EntryId(7).to_string(), "e7");
         assert_eq!(Fd(1).to_string(), "fd1");
         assert_eq!(Sig::INT.to_string(), "SIGINT");
         assert_eq!(Sig(33).to_string(), "SIG33");

@@ -17,9 +17,10 @@
 //!
 //! This crate models that hardware: [`Frame`]s carry a [`Message`] plus a
 //! routing header naming up to a handful of `(cluster, delivery-tag)`
-//! targets, and [`BusSchedule`] serializes transmissions so the two
-//! properties hold structurally. It also defines the complete wire
-//! protocol ([`proto`]) spoken by kernels, the page server, the file
+//! targets, and [`BusFabric`], the one type for the dual bus, serializes
+//! transmissions so the two properties hold structurally, injects wire
+//! faults and fails over to the standby. It also defines the complete
+//! wire protocol ([`proto`]) spoken by kernels, the page server, the file
 //! server family, and the process server.
 
 pub mod bytes;
@@ -33,7 +34,7 @@ pub mod schedule;
 pub use bytes::{payload_allocs, SharedBytes};
 pub use fabric::BusFabric;
 pub use frame::{DeliveryTag, Frame, Message, MsgId};
-pub use ids::{ChannelName, ClusterId, EntryId, Fd, Pid, Sig};
+pub use ids::{ChannelName, ClusterId, Fd, Pid, Sig};
 pub use link::{FrameClass, LinkLedger};
 pub use proto::Payload;
-pub use schedule::{BusKind, BusSchedule, Grant, WireFault};
+pub use schedule::{BusKind, Grant, WireFault};

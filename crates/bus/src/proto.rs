@@ -6,7 +6,6 @@
 //! notices, backup-creation notices). Servers and kernels match on
 //! [`Payload`] variants; there is no hidden side channel.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use auros_vm::{PageNo, Program, Snapshot, PAGE_SIZE};
@@ -726,11 +725,6 @@ pub fn derive_child_pid(parent: Pid, fork_index: u64) -> Pid {
     Pid(z & !(0b11 << 62))
 }
 
-/// The set of pages a snapshot considers valid — helper for pager logic.
-pub fn snapshot_valid_pages(image: &dyn ProcessImage) -> Option<&BTreeSet<PageNo>> {
-    image.as_any().downcast_ref::<Snapshot>().map(|s| &s.valid_pages)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,6 +787,5 @@ mod tests {
         let copy = image.clone();
         let back = copy.as_any().downcast_ref::<Snapshot>().unwrap();
         assert_eq!(back, &snap);
-        assert_eq!(snapshot_valid_pages(&*image).unwrap().len(), 1);
     }
 }

@@ -5,7 +5,7 @@
 
 use auros_bus::proto::{ChanEnd, ChannelId, Side};
 use auros_bus::{
-    BusSchedule, DeliveryTag, Frame, FrameClass, LinkLedger, Message, MsgId, Payload, Pid,
+    BusFabric, DeliveryTag, Frame, FrameClass, LinkLedger, Message, MsgId, Payload, Pid,
 };
 use auros_sim::{Dur, VTime};
 use proptest::prelude::*;
@@ -16,10 +16,12 @@ proptest! {
     fn prop_windows_disjoint_and_ordered(
         requests in proptest::collection::vec((0u64..10_000, 1u64..500, 0usize..4096), 1..300),
     ) {
-        let mut bus = BusSchedule::new();
+        let mut bus = BusFabric::single();
         let mut prev_end = VTime::ZERO;
         for (earliest, xmit, bytes) in requests {
-            let r = bus.reserve(VTime(earliest), Dur(xmit), bytes).expect("healthy bus");
+            let r = bus
+                .reserve_routed(0, std::iter::empty(), VTime(earliest), Dur(xmit), bytes)
+                .expect("healthy bus");
             prop_assert!(r.start >= prev_end, "window starts inside an earlier one");
             prop_assert!(r.start >= VTime(earliest), "window begins before the sender is ready");
             prop_assert_eq!(r.deliver_at, r.start + Dur(xmit));
@@ -32,11 +34,11 @@ proptest! {
     fn prop_counters_are_exact(
         requests in proptest::collection::vec((1u64..100, 1usize..2048), 1..100),
     ) {
-        let mut bus = BusSchedule::new();
+        let mut bus = BusFabric::single();
         let mut busy = 0u64;
         let mut bytes_total = 0u64;
         for (xmit, bytes) in &requests {
-            bus.reserve(VTime::ZERO, Dur(*xmit), *bytes);
+            bus.reserve_routed(0, std::iter::empty(), VTime::ZERO, Dur(*xmit), *bytes);
             busy += xmit;
             bytes_total += *bytes as u64;
         }

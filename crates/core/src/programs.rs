@@ -406,37 +406,6 @@ pub fn file_writer(path: &str, chunks: u64, chunk_size: u64) -> Program {
     b.build()
 }
 
-/// Reads a file to EOF in 512-byte requests; exits with a checksum over
-/// the u64 words read.
-pub fn file_reader(path: &str) -> Program {
-    let mut b = ProgramBuilder::new("file_reader");
-    emit_open(&mut b, path);
-    b.li(R10, 0);
-    let top = b.here();
-    b.mov(R1, R4);
-    b.li(R2, DATA);
-    b.li(R3, 512);
-    b.trap(Sys::Read);
-    let done = b.new_label();
-    b.jz(R0, done); // EOF
-                    // Sum the words read (R0 is a byte count, multiple of 8 here).
-    b.mov(R5, R0);
-    b.li(R6, 0);
-    let sum = b.here();
-    b.li(R7, DATA);
-    b.add(R7, R7, R6);
-    b.load(R8, R7, 0);
-    b.add(R10, R10, R8);
-    b.addi(R6, R6, 8);
-    b.ltu(R9, R6, R5);
-    b.jnz(R9, sum);
-    b.jmp(top);
-    b.bind(done);
-    b.mov(R1, R10);
-    b.trap(Sys::Exit);
-    b.build()
-}
-
 /// An interactive session: echoes `chunks` input chunks back to the
 /// terminal, then exits with the byte count echoed.
 pub fn tty_session(tty: &str, chunks: u64) -> Program {
@@ -1375,7 +1344,6 @@ mod tests {
             bank_server("x", 1),
             bank_client("x", 1, 8, 42),
             file_writer("/f", 1, 64),
-            file_reader("/f"),
             tty_session("tty:0", 1),
             selector("a", "b", 2),
         ] {

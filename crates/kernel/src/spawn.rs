@@ -195,11 +195,7 @@ impl World {
                     self.clusters[sb.0 as usize].routing.remove_backup(&b.end);
                 }
             }
-            self.create_primary_entry_from_init(cid, &a);
-            self.create_primary_entry_from_init(sprimary, &b);
-            if let Some(sb) = sbackup {
-                self.create_backup_entry_from_init(sb, &b);
-            }
+            self.wire_channel_direct(cid, &a, sprimary, &b);
         }
     }
 
@@ -262,14 +258,7 @@ impl World {
                 slot,
                 kind,
             );
-            self.create_primary_entry_from_init(cluster, &a);
-            if let Some(bc) = backup {
-                self.create_backup_entry_from_init(bc, &a);
-            }
-            self.create_primary_entry_from_init(sprimary, &b);
-            if let Some(sb) = sbackup {
-                self.create_backup_entry_from_init(sb, &b);
-            }
+            self.wire_channel_direct(cluster, &a, sprimary, &b);
         }
     }
 

@@ -62,7 +62,8 @@ impl World {
         };
 
         // Force never-synced children first (§7.7).
-        let children: Vec<Pid> = self.clusters[ci].procs[&pid]
+        let Some(pcb) = self.clusters[ci].procs.get(&pid) else { return };
+        let children: Vec<Pid> = pcb
             .children
             .iter()
             .copied()
@@ -79,7 +80,8 @@ impl World {
         }
 
         let now = self.now();
-        let is_user = !self.clusters[ci].procs[&pid].is_server();
+        let Some(pcb) = self.clusters[ci].procs.get(&pid) else { return };
+        let is_user = !pcb.is_server();
 
         // Part one: flush dirty pages through the paging mechanism.
         let mut flushed = 0u64;
@@ -189,7 +191,7 @@ impl World {
         // A re-protecting sync announces the backup it creates.
         let announce = matches!(pcb.backup, BackupStatus::Rebuild { .. });
         let rebuild = if announce || sync_seq == 1 {
-            let mut info = self.build_rebuild_info(cid, pid, backup_cluster);
+            let mut info = self.build_rebuild_info(cid, pid, backup_cluster)?;
             info.announce = announce;
             Some(info)
         } else {
@@ -208,15 +210,16 @@ impl World {
     }
 
     /// Builds the full channel table (and, after promotions, the saved
-    /// queues) for creating a backup from scratch.
+    /// queues) for creating a backup from scratch; `None` if `pid` is
+    /// not resident in `cid` (its caller holds the PCB, so pure defence).
     fn build_rebuild_info(
         &self,
         cid: ClusterId,
         pid: Pid,
         backup_cluster: ClusterId,
-    ) -> RebuildInfo {
+    ) -> Option<RebuildInfo> {
         let ci = cid.0 as usize;
-        let pcb = &self.clusters[ci].procs[&pid];
+        let pcb = self.clusters[ci].procs.get(&pid)?;
         let program = pcb.machine().map(|m| m.program().clone());
         let fd_of = |end: ChanEnd| pcb.fds.iter().find(|(_, e)| **e == end).map(|(fd, _)| *fd);
         let mut channels = Vec::new();
@@ -251,14 +254,14 @@ impl World {
                 write_counts.push((*end, e.suppress_writes));
             }
         }
-        RebuildInfo {
+        Some(RebuildInfo {
             announce: false,
             program,
             mode: pcb.mode,
             channels,
             queues: Arc::new(queues),
             write_counts,
-        }
+        })
     }
 
     // ------------------------------------------------------------------

@@ -104,8 +104,8 @@ impl World {
                 self.post_quantum(cid, pid, Dur::ZERO);
             }
             Exit::Halted => {
-                let status =
-                    self.clusters[ci].procs[&pid].machine().map(|m| m.reg(R1)).unwrap_or(0);
+                let pcb = self.clusters[ci].procs.get(&pid);
+                let status = pcb.and_then(|p| p.machine()).map(|m| m.reg(R1)).unwrap_or(0);
                 self.finish_process(cid, pid, ProcessState::Exited(status));
             }
             Exit::Fault(err) => {
@@ -537,7 +537,7 @@ impl World {
                 }
             });
         let Some(sig) = front_sig else { return };
-        let pcb = &self.clusters[ci].procs[&owner];
+        let Some(pcb) = self.clusters[ci].procs.get(&owner) else { return };
         match pcb.handlers.get(&sig) {
             None => {
                 // Default disposition: terminate, even while blocked.
@@ -584,7 +584,8 @@ impl World {
             let Some(sig) = front else {
                 return true;
             };
-            let disposition = self.clusters[ci].procs[&pid].handlers.get(&sig).copied();
+            let Some(pcb) = self.clusters[ci].procs.get(&pid) else { return false };
+            let disposition = pcb.handlers.get(&sig).copied();
             match disposition {
                 None => {
                     self.finish_process(cid, pid, ProcessState::Killed);
@@ -1267,7 +1268,9 @@ impl World {
             self.rewind_and_block_on_page(cid, pid, page);
             return fixed;
         }
-        let fork_index = self.clusters[ci].procs[&pid].fork_count;
+        let Some(fork_index) = self.clusters[ci].procs.get(&pid).map(|p| p.fork_count) else {
+            return fixed;
+        };
         // Replay path: a birth notice stored here means the failed
         // primary already performed this fork (§7.10.2).
         if let Some(birth) = self.clusters[ci].births.get(&(pid, fork_index)) {

@@ -14,10 +14,9 @@ use auros_bus::proto::{
     BackupMode, ChanEnd, ChanKind, ChannelId, ChannelInit, PagerReply, Payload, ProcReply,
     ProcRequest, ServiceKind, Side,
 };
-use auros_bus::schedule::Grant;
 use auros_bus::{
-    BusFabric, BusKind, ClusterId, DeliveryTag, Frame, FrameClass, LinkLedger, Message, MsgId, Pid,
-    WireFault,
+    BusFabric, BusKind, ClusterId, DeliveryTag, Frame, FrameClass, Grant, LinkLedger, Message,
+    MsgId, Pid, WireFault,
 };
 use auros_sim::trace::RetryWhy;
 use auros_sim::{Dur, EventQueue, Loc, MetricsRegistry, TraceKind, TraceLog, VTime};
@@ -152,24 +151,19 @@ pub enum Event {
         /// Bytes typed.
         data: Vec<u8>,
     },
-    /// Reliable delivery: the sender's implicit-acknowledgement timer
-    /// for one in-flight frame expired — if the frame is still
-    /// outstanding at the same attempt, retransmit it. Scheduled only
-    /// when a wire fault was actually injected, so fault-free runs see
-    /// no timer traffic at all.
-    RetryTimeout {
+    /// Reliable delivery: a retry of one in-flight frame fell due. The
+    /// sender's implicit-acknowledgement timer expired, or a receiver's
+    /// checksum rejected the frame and its NAK reached the sending
+    /// executive. If the frame is still outstanding at the same attempt,
+    /// it is retransmitted. Scheduled only when a wire fault was actually
+    /// injected, so fault-free runs see no retry traffic at all.
+    Retry {
         /// In-flight ledger key.
         flight: u64,
-        /// Attempt the timer was armed for (stale timers no-op).
+        /// Attempt the retry refers to (stale retries no-op).
         attempt: u32,
-    },
-    /// Reliable delivery: a receiver's checksum rejected the frame; the
-    /// NAK reaches the sending executive and triggers retransmission.
-    Nak {
-        /// In-flight ledger key.
-        flight: u64,
-        /// Attempt the NAK refers to.
-        attempt: u32,
+        /// Ack timeout or NAK.
+        why: RetryWhy,
     },
     /// Quarantine: probe every benched bus; heal the ones whose probe
     /// frame survives.
@@ -214,9 +208,8 @@ struct InFlight {
     frame: Arc<Frame>,
     /// Wire size, to re-derive the retransmission window.
     bytes: usize,
-    /// Transmission attempt (0 = first). Stale `RetryTimeout`/`Nak`
-    /// events carry the attempt they were armed for and no-op on
-    /// mismatch.
+    /// Transmission attempt (0 = first). Stale `Retry` events carry the
+    /// attempt they were armed for and no-op on mismatch.
     attempt: u32,
     /// Whether the scheduled delivery, if it fires, consumes the flight.
     /// `false` for a corrupt copy: its arrival NAKs instead of
@@ -527,8 +520,7 @@ impl World {
             Event::TerminalInput { device, line, data } => {
                 self.on_terminal_input(device, line, data)
             }
-            Event::RetryTimeout { flight, attempt } => self.on_retry_timeout(flight, attempt),
-            Event::Nak { flight, attempt } => self.on_nak(flight, attempt),
+            Event::Retry { flight, attempt, why } => self.on_retry(flight, attempt, why),
             Event::BusProbe => self.on_bus_probe(),
             Event::SupervisedPromote { cluster, pid, dead } => {
                 self.on_supervised_promote_due(cluster, pid, dead)
@@ -755,7 +747,8 @@ impl World {
             Some(WireFault::Drop) => {
                 self.stats.wire_drops += 1;
                 let timeout = res.deliver_at + cost::ACK_TIMEOUT;
-                self.queue.schedule(timeout, Event::RetryTimeout { flight, attempt });
+                self.queue
+                    .schedule(timeout, Event::Retry { flight, attempt, why: RetryWhy::AckTimeout });
                 (None, false)
             }
             Some(WireFault::Corrupt) => {
@@ -796,7 +789,8 @@ impl World {
                 // from a drop at the sender: the timer may fire first and
                 // retransmit; the late original is then dup-suppressed.
                 let timeout = res.deliver_at + cost::ACK_TIMEOUT;
-                self.queue.schedule(timeout, Event::RetryTimeout { flight, attempt });
+                self.queue
+                    .schedule(timeout, Event::Retry { flight, attempt, why: RetryWhy::AckTimeout });
                 (Some(at), true)
             }
         };
@@ -845,23 +839,13 @@ impl World {
         }
     }
 
-    /// Retry timer fired: if the frame is still outstanding at the same
-    /// attempt, the implicit ack never came — retransmit.
-    fn on_retry_timeout(&mut self, flight: u64, attempt: u32) {
-        let Some(inf) = self.in_flight.get(&flight) else { return };
-        if inf.attempt != attempt {
-            return;
+    /// A retry fell due: if the frame is still outstanding at the same
+    /// attempt, the implicit ack never came or a receiver NAKed a
+    /// corrupted copy — retransmit.
+    fn on_retry(&mut self, flight: u64, attempt: u32, why: RetryWhy) {
+        if self.in_flight.get(&flight).is_some_and(|inf| inf.attempt == attempt) {
+            self.retransmit(flight, why);
         }
-        self.retransmit(flight, RetryWhy::AckTimeout);
-    }
-
-    /// A receiver NAKed a corrupted copy of this frame: retransmit.
-    fn on_nak(&mut self, flight: u64, attempt: u32) {
-        let Some(inf) = self.in_flight.get(&flight) else { return };
-        if inf.attempt != attempt {
-            return;
-        }
-        self.retransmit(flight, RetryWhy::Nak);
     }
 
     /// Re-reserves a window for a still-outstanding frame, with
@@ -869,49 +853,57 @@ impl World {
     fn retransmit(&mut self, flight: u64, why: RetryWhy) {
         let now = self.now();
         let Some(inf) = self.in_flight.get(&flight) else { return };
-        let (frame, bytes, attempt) = (inf.frame.clone(), inf.bytes, inf.attempt);
-        let next = attempt + 1;
-        if next > MAX_RETRANSMITS {
+        let attempt = inf.attempt;
+        if attempt >= MAX_RETRANSMITS {
             self.abandon_flight(flight, why);
             return;
         }
         let backoff = cost::RETRANSMIT_BACKOFF.saturating_mul(1u64 << attempt.min(6));
-        let xmit = cost::bus_xmit(bytes);
-        let src = frame.src_cluster.0;
-        let targets = frame.targets.iter().map(|(c, _)| c.0);
-        match self.bus.reserve_retry_routed(src, targets, now + backoff, xmit, bytes) {
-            Some(res) => {
-                self.stats.bus_busy += xmit;
-                self.stats.proto_retransmits += 1;
-                if let Some(inf) = self.in_flight.get_mut(&flight) {
-                    inf.attempt = next;
-                }
-                self.trace.emit(
-                    now,
-                    Loc::World,
-                    TraceKind::Retransmit {
-                        attempt: next as u64,
-                        flight,
-                        why,
-                        bus: res.bus.into(),
-                    },
-                );
-                self.launch_wire(flight, frame, res, next);
-            }
-            None => self.abandon_flight(flight, RetryWhy::NoHealthyBus),
-        }
+        let Some((res, frame, next)) = self.reserve_retry(flight, now + backoff) else {
+            self.abandon_flight(flight, RetryWhy::NoHealthyBus);
+            return;
+        };
+        self.stats.proto_retransmits += 1;
+        self.trace.emit(
+            now,
+            Loc::World,
+            TraceKind::Retransmit { attempt: next as u64, flight, why, bus: res.bus.into() },
+        );
+        self.launch_wire(flight, frame, res, next);
     }
 
-    /// Gives up on a frame for good: cancel any scheduled delivery and
-    /// consume its link slots so later traffic is not stalled behind it.
+    /// Reserves a retransmission window for `flight` at or after
+    /// `earliest`, charges its bus time and bumps the flight's attempt,
+    /// which voids any stale retry. Returns the grant, the frame and the
+    /// new attempt, or `None` if no healthy bus remains.
+    fn reserve_retry(&mut self, flight: u64, earliest: VTime) -> Option<(Grant, Arc<Frame>, u32)> {
+        let inf = self.in_flight.get_mut(&flight)?;
+        let xmit = cost::bus_xmit(inf.bytes);
+        let src = inf.frame.src_cluster.0;
+        let targets = inf.frame.targets.iter().map(|(c, _)| c.0);
+        let res = self.bus.reserve_retry_routed(src, targets, earliest, xmit, inf.bytes)?;
+        self.stats.bus_busy += xmit;
+        inf.attempt += 1;
+        Some((res, Arc::clone(&inf.frame), inf.attempt))
+    }
+
+    /// Drops a frame from the in-flight ledger: cancels any scheduled
+    /// delivery and consumes its link slots, so later traffic on the
+    /// same links is not stalled behind it.
+    fn drop_flight(&mut self, flight: u64) -> Option<InFlight> {
+        let inf = self.in_flight.remove(&flight)?;
+        if let Some(at) = inf.at {
+            self.queue.cancel(at);
+        }
+        self.links.skip(inf.frame.src_cluster.0, &link_pairs(&inf.frame));
+        Some(inf)
+    }
+
+    /// Gives up on a frame for good.
     fn abandon_flight(&mut self, flight: u64, why: RetryWhy) {
         let now = self.now();
-        if let Some(inf) = self.in_flight.remove(&flight) {
-            if let Some(at) = inf.at {
-                self.queue.cancel(at);
-            }
+        if let Some(inf) = self.drop_flight(flight) {
             self.stats.frames_abandoned += 1;
-            self.links.skip(inf.frame.src_cluster.0, &link_pairs(&inf.frame));
             self.trace.emit(
                 now,
                 Loc::World,
@@ -967,10 +959,8 @@ impl World {
                 let flights: Vec<u64> = self.in_flight.keys().copied().collect();
                 let mut retransmitted = 0u64;
                 for flight in flights {
-                    let (frame, bytes, attempt, pending, at) = {
-                        let inf = &self.in_flight[&flight];
-                        (inf.frame.clone(), inf.bytes, inf.attempt, inf.pending_delivery, inf.at)
-                    };
+                    let Some(inf) = self.in_flight.get(&flight) else { continue };
+                    let (pending, at) = (inf.pending_delivery, inf.at);
                     let cancelled = at.is_some_and(|at| self.queue.cancel(at));
                     if !cancelled && pending && at.is_some() {
                         // Delivery fired at this very tick before the
@@ -981,21 +971,13 @@ impl World {
                     // Otherwise the frame is genuinely outstanding
                     // (scheduled, dropped-awaiting-timer, or a corrupt
                     // copy en route): repeat it on the survivor. Bumping
-                    // the attempt invalidates any stale timer or NAK.
-                    let xmit = cost::bus_xmit(bytes);
-                    let src = frame.src_cluster.0;
-                    let targets = frame.targets.iter().map(|(c, _)| c.0);
-                    let Some(res) = self.bus.reserve_retry_routed(src, targets, now, xmit, bytes)
-                    else {
+                    // the attempt invalidates any stale retry.
+                    let Some((res, frame, attempt)) = self.reserve_retry(flight, now) else {
                         break; // Unreachable: the survivor was healthy.
                     };
-                    self.stats.bus_busy += xmit;
                     self.stats.frames_retransmitted += 1;
                     retransmitted += 1;
-                    if let Some(inf) = self.in_flight.get_mut(&flight) {
-                        inf.attempt = attempt + 1;
-                    }
-                    self.launch_wire(flight, frame, res, attempt + 1);
+                    self.launch_wire(flight, frame, res, attempt);
                 }
                 self.trace.emit(
                     now,
@@ -1011,12 +993,7 @@ impl World {
                 let lost = self.in_flight.len();
                 let flights: Vec<u64> = self.in_flight.keys().copied().collect();
                 for flight in flights {
-                    if let Some(inf) = self.in_flight.remove(&flight) {
-                        if let Some(at) = inf.at {
-                            self.queue.cancel(at);
-                        }
-                        self.links.skip(inf.frame.src_cluster.0, &link_pairs(&inf.frame));
-                    }
+                    self.drop_flight(flight);
                 }
                 self.trace.emit(now, Loc::World, TraceKind::BothBusesFailed { lost: lost as u64 });
                 self.drain_held();
@@ -1057,7 +1034,8 @@ impl World {
             if let Some(inf) = self.in_flight.get(&flight) {
                 let attempt = inf.attempt;
                 self.stats.naks += 1;
-                self.queue.schedule(now + cost::NAK_LATENCY, Event::Nak { flight, attempt });
+                let why = RetryWhy::Nak;
+                self.queue.schedule(now + cost::NAK_LATENCY, Event::Retry { flight, attempt, why });
             }
             return;
         }

@@ -128,11 +128,13 @@ waived with a reason.",
     },
     RuleInfo {
         id: "D5",
-        title: "no unwrap/expect on fault-handling paths",
-        explain: "D5 — no `.unwrap()`/`.expect()` on fault-handling paths (crash.rs,\n\
+        title: "no unwrap/expect or map index on fault-handling paths",
+        explain: "D5 — no `.unwrap()`/`.expect()` and no map index by reference\n\
+(`m[&k]`, `f()[&k]`, `v[i][&k]`) on fault-handling paths (crash.rs,\n\
 sync.rs, routing.rs, server.rs, process.rs, checkpoint.rs,\n\
 supervise.rs, world.rs, syscall.rs) without an inline waiver stating the\n\
-invariant.\n\
+invariant. A map index panics on a missing key exactly as `unwrap`\n\
+does; array literals such as `[&mut a, &mut b]` are not indexes.\n\
 \n\
 Crash handling and backup promotion (§7.10.1–§7.10.2) run precisely\n\
 when the system is already degraded; a panic there turns a survivable\n\
@@ -225,6 +227,23 @@ pub const FAULT_PATH_FILES: &[&str] = &[
     "world.rs",
     "syscall.rs",
 ];
+
+/// Keywords that may precede an array literal: `for x in [&a, &b]` is no
+/// map index.
+const D5_LITERAL_PREFIXES: &[&str] = &["in", "return", "break", "mut"];
+
+/// Whether the `[` at `i` opens an index by reference (`m[&k]`,
+/// `f()[&k]`, `v[i][&k]`) rather than an array literal or a slice type.
+fn is_index_by_ref(tokens: &[Token], i: usize) -> bool {
+    if !matches!(tokens.get(i + 1), Some(n) if n.tok == Tok::Punct('&')) || i == 0 {
+        return false;
+    }
+    match &tokens[i - 1].tok {
+        Tok::Ident(name) => !D5_LITERAL_PREFIXES.contains(&name.as_str()),
+        Tok::Punct(')') | Tok::Punct(']') => true,
+        _ => false,
+    }
+}
 
 /// Identifiers banned outright per rule, in deterministic crates.
 const D1_IDENTS: &[&str] = &["HashMap", "HashSet"];
@@ -394,6 +413,13 @@ fn collect_hits(
                         ),
                     ));
                 }
+            }
+            Tok::Punct('[') if fault_path && is_index_by_ref(tokens, i) => {
+                hits.push((
+                    t.line,
+                    "D5",
+                    "map index `[&…]` on a fault-handling path panics on a missing key; use `get` or waive with the invariant".to_string(),
+                ));
             }
             Tok::Float => {
                 hits.push((

@@ -83,9 +83,9 @@ fn d4_floating_point() {
 
 #[test]
 fn d5_fault_path_unwraps() {
-    assert_violates("d5/violation/crash.rs", "D5", 2);
+    assert_violates("d5/violation/crash.rs", "D5", 5);
     assert_clean("d5/clean/crash.rs");
-    assert_waived("d5/waived/crash.rs", "D5", 1);
+    assert_waived("d5/waived/crash.rs", "D5", 2);
 }
 
 #[test]

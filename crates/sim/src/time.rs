@@ -53,11 +53,6 @@ impl Dur {
         Dur(n)
     }
 
-    /// Builds a duration from simulated milliseconds (1 ms = 1000 ticks).
-    pub fn millis(n: u64) -> Dur {
-        Dur(n * 1000)
-    }
-
     /// Returns the raw tick count.
     pub fn as_ticks(self) -> u64 {
         self.0
@@ -144,11 +139,6 @@ mod tests {
     fn ordering_is_by_tick() {
         assert!(VTime(1) < VTime(2));
         assert!(Dur(3) > Dur(2));
-    }
-
-    #[test]
-    fn millis_scale() {
-        assert_eq!(Dur::millis(3).as_ticks(), 3000);
     }
 
     #[test]
