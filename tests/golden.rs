@@ -178,6 +178,88 @@ fn golden_wire_faults() {
     assert_eq!(sys.world.now(), golden::WIRE_END, "final tick changed");
 }
 
+/// The re-protection paths of crash handling, one run each: two crashes
+/// of a fullback pair's hosts, where the first promotes the initiator
+/// behind its gate, marks its peer's channel unusable, places a new
+/// backup and releases the channel with the rebuild sync (§7.10.1,
+/// §7.10.2); two partial failures of one fullback, which repair the
+/// channels toward the failed process's backup (§10); and a promoted,
+/// unprotected quarterback killed by a second crash of its new host,
+/// whose peer's channel is orphaned (§7.3). Each pins the digest, every
+/// trace category's fingerprint and the final tick, so any change to the
+/// order in which crash handling repairs routing entries shows here.
+#[test]
+fn golden_reprotection() {
+    use auros::sim::TraceKind;
+    use auros::BackupMode;
+    let traced = |b: SystemBuilder| {
+        let mut sys = b.build();
+        sys.world.trace = TraceLog::capture_all();
+        sys
+    };
+    let pin = |name: &str, sys: &mut auros::System, want: &(u64, [u64; 9], VTime)| {
+        check(name, sys.digest().fingerprint(), want.0);
+        assert_eq!(sys.world.trace.fingerprints(), want.1, "{name}: trace fingerprints changed");
+        assert_eq!(sys.world.now(), want.2, "{name}: final tick changed");
+    };
+    let count = |sys: &auros::System, f: fn(&TraceKind) -> bool| sys.world.trace.count_where(f);
+
+    let mut b = SystemBuilder::new(4);
+    b.spawn_with_mode(0, programs::pingpong("pp", 150, true), BackupMode::Fullback);
+    b.spawn_with_mode(1, programs::pingpong("pp", 150, false), BackupMode::Fullback);
+    b.crash_at(VTime(8_000), 0);
+    b.crash_at(VTime(60_000), 1);
+    let mut sys = traced(b);
+    assert!(sys.run(DEADLINE));
+    assert!(
+        count(&sys, |k| matches!(k, TraceKind::BackupPlaced { .. })) >= 1,
+        "a fullback is placed"
+    );
+    assert!(
+        count(&sys, |k| matches!(k, TraceKind::SyncApplied { is_new: true, .. })) >= 1,
+        "the rebuild sync creates the backup that releases the unusable channel"
+    );
+    pin("reprotect crash", &mut sys, &golden::REPROTECT_CRASH);
+
+    let mut b = SystemBuilder::new(4);
+    let v = b.spawn_with_mode(0, programs::pingpong("pff", 300, true), BackupMode::Fullback);
+    b.spawn_with_mode(1, programs::pingpong("pff", 300, false), BackupMode::Fullback);
+    b.fail_process_at(VTime(8_000), v);
+    b.fail_process_at(VTime(40_000), v);
+    let mut sys = traced(b);
+    assert!(sys.run(DEADLINE));
+    assert_eq!(count(&sys, |k| matches!(k, TraceKind::PartialFailure { .. })), 2);
+    assert!(count(&sys, |k| matches!(k, TraceKind::BackupPlaced { .. })) >= 2, "placed twice");
+    assert!(
+        count(&sys, |k| matches!(k, TraceKind::SyncApplied { is_new: true, .. })) >= 2,
+        "each rebuild sync releases the peer's unusable channel"
+    );
+    pin("reprotect partial", &mut sys, &golden::REPROTECT_PARTIAL);
+
+    let mut b = SystemBuilder::new(3);
+    b.spawn_with_mode(0, programs::pingpong("pp", 4000, true), BackupMode::Quarterback);
+    b.spawn_with_mode(2, programs::pingpong("pp", 4000, false), BackupMode::Quarterback);
+    b.crash_at(VTime(8_000), 0);
+    b.crash_at(VTime(30_000), 1);
+    let mut sys = traced(b);
+    sys.run_until(VTime(60_000));
+    assert!(sys.exit_of(0).is_none(), "the initiator died unprotected");
+    // The responder's channel is orphaned: after the second crash is
+    // handled it keeps running, and never consumes another message.
+    let events = sys.world.trace.snapshot();
+    let done = events
+        .iter()
+        .position(|e| matches!(e.kind, TraceKind::CrashHandlingDone { dead: 1 }))
+        .expect("the second crash is handled");
+    let responder = sys.pids[1].0;
+    let after = &events[done..];
+    assert!(after.iter().any(|e| e.kind == TraceKind::Dispatched { pid: responder }));
+    assert!(!after
+        .iter()
+        .any(|e| matches!(e.kind, TraceKind::Consumed { pid, .. } if pid == responder)));
+    pin("reprotect orphan", &mut sys, &golden::REPROTECT_ORPHAN);
+}
+
 /// The pinned values. Regenerate by running with `--nocapture` after a
 /// deliberate semantic change and copying the printed values.
 mod golden {
@@ -225,4 +307,50 @@ mod golden {
     pub const WIRE_END: auros::VTime = auros::VTime(60_094);
     /// `bus.{a,b}.{frames,bytes,busy_ticks,retries,failed,quarantined}`.
     pub const WIRE_BUS: [u64; 12] = [89, 6242, 2273, 3, 0, 0, 95, 10560, 2638, 2, 1, 0];
+    /// `golden_reprotection`: (digest, trace fingerprints, final tick).
+    pub const REPROTECT_CRASH: (u64, [u64; 9], auros::VTime) = (
+        0x9ad2dc68c26cab11,
+        [
+            0xe714c94206f45e5e,
+            0xf10563a9b8eb3ea2,
+            0x7f591c031aedebe5,
+            0x9ec6d69e5392cb15,
+            0x8fc91de3525cfad3,
+            0x68e4bc5be0bcd4c0,
+            0,
+            0xa22ca329d9fd3543,
+            0,
+        ],
+        auros::VTime(75_000),
+    );
+    pub const REPROTECT_PARTIAL: (u64, [u64; 9], auros::VTime) = (
+        0x7073cbc8e0a80454,
+        [
+            0xec2757daf69bbe49,
+            0x0888272039b9ef7e,
+            0xf0a8b08804275f39,
+            0xea03af35bd82d945,
+            0xfca9d92d3113190c,
+            0xd9fc536181b91818,
+            0,
+            0x7aa638256dc48352,
+            0,
+        ],
+        auros::VTime(90_000),
+    );
+    pub const REPROTECT_ORPHAN: (u64, [u64; 9], auros::VTime) = (
+        0x31bb630143ae6b6c,
+        [
+            0xe99478ebdadef8bc,
+            0x74f03304f7d7b5e3,
+            0x88d13a7a829e5b4c,
+            0,
+            0x368052e07a82ae34,
+            0x5f804c5c7d36e76b,
+            0,
+            0xd4355ac6a0cef2f7,
+            0,
+        ],
+        auros::VTime(60_000),
+    );
 }
