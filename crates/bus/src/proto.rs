@@ -127,6 +127,36 @@ pub enum ChanKind {
     KernelPort,
 }
 
+/// Where one channel end's peer lives (§7.4.1): the routing entries of
+/// both ends of a channel, primary and backup, each hold one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Peer {
+    /// The peer process.
+    pub pid: Pid,
+    /// Cluster currently hosting the peer's primary; `None` once the peer
+    /// is gone for good (§7.10.1 step 1).
+    pub primary: Option<ClusterId>,
+    /// Cluster hosting the peer's backup, if the peer is backed up.
+    pub backup: Option<ClusterId>,
+    /// The peer's backup mode; crash handling needs it to know whether a
+    /// channel must be marked unusable until a new backup exists
+    /// (fullbacks, §7.10.1 step 1).
+    pub mode: BackupMode,
+}
+
+impl Peer {
+    /// A peer `pid` whose primary runs in `primary`.
+    pub fn new(pid: Pid, primary: ClusterId, backup: Option<ClusterId>, mode: BackupMode) -> Peer {
+        Peer { pid, primary: Some(primary), backup, mode }
+    }
+
+    /// The clusters holding the peer's entries: its primary's, then its
+    /// backup's.
+    pub fn clusters(&self) -> impl Iterator<Item = ClusterId> {
+        self.primary.into_iter().chain(self.backup)
+    }
+}
+
 /// Everything a cluster needs to materialize one routing-table entry.
 #[derive(Clone, Debug)]
 pub struct ChannelInit {
@@ -136,18 +166,10 @@ pub struct ChannelInit {
     pub owner: Pid,
     /// The owner's fd bound to this end, if user-visible.
     pub fd: Option<Fd>,
-    /// Peer process, if any.
-    pub peer: Option<Pid>,
-    /// Cluster currently hosting the peer's primary.
-    pub peer_primary: Option<ClusterId>,
-    /// Cluster hosting the peer's backup entry, if the peer is backed up.
-    pub peer_backup: Option<ClusterId>,
+    /// Where the peer lives.
+    pub peer: Peer,
     /// Cluster hosting the owner's backup entry, if the owner is backed up.
     pub owner_backup: Option<ClusterId>,
-    /// The peer's backup mode; crash handling needs it to know whether a
-    /// channel must be marked unusable until a new backup exists
-    /// (fullbacks, §7.10.1 step 1).
-    pub peer_mode: BackupMode,
     /// Channel kind.
     pub kind: ChanKind,
 }

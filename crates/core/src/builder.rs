@@ -7,7 +7,9 @@
 //! in the clusters owning terminals, and user processes with inactive
 //! backups in neighbouring clusters.
 
-use auros_bus::proto::{BackupMode, ChanEnd, ChanKind, ChannelId, ChannelInit, ServiceKind, Side};
+use auros_bus::proto::{
+    BackupMode, ChanEnd, ChanKind, ChannelId, ChannelInit, Peer, ServiceKind, Side,
+};
 use auros_bus::{BusKind, ClusterId, Pid, WireFault};
 use auros_fs::fileserver::DeviceRoute;
 use auros_fs::{DiskPair, FileServer, RawServer, Terminal, TtyServer};
@@ -364,22 +366,16 @@ impl SystemBuilder {
                 end: a,
                 owner: fs_pid,
                 fd: None,
-                peer: Some(*pid),
-                peer_primary: Some(*cluster),
-                peer_backup: *backup,
+                peer: Peer::new(*pid, *cluster, *backup, BackupMode::Halfback),
                 owner_backup: backup_of(0),
-                peer_mode: BackupMode::Halfback,
                 kind: ChanKind::ServerPort(ServiceKind::Tty),
             };
             let b_init = ChannelInit {
                 end: a.peer(),
                 owner: *pid,
                 fd: None,
-                peer: Some(fs_pid),
-                peer_primary: Some(ClusterId(0)),
-                peer_backup: backup_of(0),
+                peer: Peer::new(fs_pid, ClusterId(0), backup_of(0), BackupMode::Halfback),
                 owner_backup: *backup,
-                peer_mode: BackupMode::Halfback,
                 kind: ChanKind::ServerPort(ServiceKind::Tty),
             };
             world.wire_channel_direct(ClusterId(0), &a_init, *cluster, &b_init);

@@ -126,7 +126,7 @@ pub fn check_survival(sys: &System) -> SurvivalReport {
             if !e.usable || e.peer_closed {
                 continue;
             }
-            if let Some(pp) = e.peer_primary {
+            if let Some(pp) = e.peer.primary {
                 if !is_live(pp) {
                     violations.push(format!(
                         "c{}: entry {end:?} routes its peer to dead cluster {pp}",
@@ -134,7 +134,7 @@ pub fn check_survival(sys: &System) -> SurvivalReport {
                     ));
                 }
             }
-            if let Some(pb) = e.peer_backup {
+            if let Some(pb) = e.peer.backup {
                 if !is_live(pb) {
                     violations.push(format!(
                         "c{}: entry {end:?} keeps a peer-backup hint at dead cluster {pb}",

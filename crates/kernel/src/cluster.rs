@@ -15,7 +15,7 @@ use auros_sim::VTime;
 use auros_vm::Program;
 
 use crate::process::Pcb;
-use crate::routing::RoutingTable;
+use crate::routing::{Failure, RoutingTable};
 
 /// The stored image of an inactive backup process.
 ///
@@ -86,15 +86,10 @@ impl Directory {
     /// primary was there is now served by its backup.
     pub fn repair_after_crash(&mut self, dead: ClusterId) {
         for slot in [&mut self.pager, &mut self.fs, &mut self.procserver] {
-            if let Some((_, primary, backup)) = slot {
-                if *primary == dead {
-                    match backup.take() {
-                        Some(b) => *primary = b,
-                        None => *slot = None,
-                    }
-                } else if *backup == Some(dead) {
-                    *backup = None;
-                }
+            if let Some((pid, primary, mut backup)) = *slot {
+                let mut at = Some(primary);
+                Failure::Cluster(dead).fail_over(pid, &mut at, &mut backup);
+                *slot = at.map(|p| (pid, p, backup));
             }
         }
     }

@@ -8,7 +8,7 @@
 //! fullbacks for backup re-creation, adjust the outgoing queue, and
 //! signal peripheral-server backups to begin recovery.
 
-use auros_bus::proto::{BackupMode, PagerRequest, ProcRequest, ProcessImage};
+use auros_bus::proto::{BackupMode, ChanEnd, PagerRequest, ProcRequest, ProcessImage};
 use auros_bus::{ClusterId, DeliveryTag, Pid};
 use auros_sim::{Loc, TraceKind};
 use auros_vm::Machine;
@@ -16,6 +16,7 @@ use auros_vm::Machine;
 use crate::cluster::Cluster;
 use crate::config::{cost, WORK_PROCESSORS};
 use crate::process::{BackupStatus, BlockState, Pcb, ProcessBody, ProcessState};
+use crate::routing::Failure;
 use crate::server::ServerImage;
 use crate::world::{Event, World};
 
@@ -81,7 +82,7 @@ impl World {
         self.clusters[ci].crash_busy_until = None;
 
         // Step 1: routing-table repair.
-        let outcome = self.clusters[ci].routing.repair_after_crash(dead);
+        let orphaned = self.clusters[ci].routing.fail_over(Failure::Cluster(dead));
         self.clusters[ci].directory.repair_after_crash(dead);
 
         // Steps 2/3/5: promote every backup whose primary died here —
@@ -136,7 +137,7 @@ impl World {
                         let sender_end = end.peer();
                         let c = &self.clusters[ci];
                         if let Some(e) = c.routing.primary(&sender_end) {
-                            if let Some(np) = e.peer_primary {
+                            if let Some(np) = e.peer.primary {
                                 redirected_ends.push(end);
                                 return Some((np, tag));
                             }
@@ -159,15 +160,19 @@ impl World {
             }
         }
 
-        // Readers/writers whose peer vanished without a backup fail now.
-        for end in outcome.orphaned {
-            let owner = self.clusters[ci].routing.primary(&end).map(|e| e.owner);
+        self.wake_orphans(cid, orphaned);
+        self.trace.emit(now, Loc::Cluster(cid.0), TraceKind::CrashHandlingDone { dead: dead.0 });
+        self.try_dispatch(cid);
+    }
+
+    /// Readers and writers whose peer vanished without a backup fail now.
+    fn wake_orphans(&mut self, cid: ClusterId, orphaned: Vec<ChanEnd>) {
+        for end in orphaned {
+            let owner = self.clusters[cid.0 as usize].routing.primary(&end).map(|e| e.owner);
             if let Some(owner) = owner {
                 self.try_unblock(cid, owner);
             }
         }
-        self.trace.emit(now, Loc::Cluster(cid.0), TraceKind::CrashHandlingDone { dead: dead.0 });
-        self.try_dispatch(cid);
     }
 
     /// Asks the process server where a fullback's new backup should live
@@ -311,12 +316,7 @@ impl World {
         self.admit(cid, pcb);
         // Promote the saved routing entries: queues become live, write
         // counts become suppression budgets (§5.4).
-        let ends = self.clusters[ci].routing.backup_ends_of(pid);
-        for end in ends {
-            if let Some(be) = self.clusters[ci].routing.remove_backup(&end) {
-                self.clusters[ci].routing.insert_primary(end, be.promote(None));
-            }
-        }
+        self.clusters[ci].routing.promote_saved(pid);
         self.stats.clusters[ci].promotions += 1;
         self.stats.note_promotion(dead, now);
 
@@ -375,10 +375,7 @@ impl World {
         // hold everything unread since the last sync). No exit status is
         // recorded — the process is not finished, it is moving.
         self.transition(cid, pid, ProcessState::Killed);
-        let ends = self.clusters[ci].routing.ends_of(pid);
-        for end in ends {
-            self.clusters[ci].routing.remove_primary(&end);
-        }
+        self.clusters[ci].routing.drop_live(pid);
         // Notify every live cluster: "the kernel in the processing unit
         // containing the process's backup is notified and makes the
         // backup runnable. This includes notification of all of the
@@ -396,13 +393,8 @@ impl World {
     /// backup; the backup's cluster promotes it.
     pub(crate) fn apply_process_failed(&mut self, cid: ClusterId, pid: Pid, at: ClusterId) {
         let ci = cid.0 as usize;
-        let outcome = self.clusters[ci].routing.repair_failed_peer(pid);
-        for end in outcome.orphaned {
-            let owner = self.clusters[ci].routing.primary(&end).map(|e| e.owner);
-            if let Some(owner) = owner {
-                self.try_unblock(cid, owner);
-            }
-        }
+        let orphaned = self.clusters[ci].routing.fail_over(Failure::Process(pid));
+        self.wake_orphans(cid, orphaned);
         if self.clusters[ci].backups.contains_key(&pid) {
             // Partial-failure promotions pass through the supervision
             // gate: budget, backoff, give-up. Cluster-crash promotions

@@ -253,10 +253,7 @@ impl World {
     fn abandon_process(&mut self, cid: ClusterId, pid: Pid) {
         let ci = cid.0 as usize;
         self.clusters[ci].backups.remove(&pid);
-        let ends = self.clusters[ci].routing.backup_ends_of(pid);
-        for end in ends {
-            self.clusters[ci].routing.remove_backup(&end);
-        }
+        self.clusters[ci].routing.drop_saved(pid);
         self.clusters[ci].nondet_logs.remove(&pid);
     }
 }
