@@ -13,8 +13,10 @@
 //! `--trace 0` runs per workload (10 unless given), alternating which
 //! revision goes first, and prints for each end-to-end metric each
 //! side's median and quartiles, the median head/base ratio over the
-//! pairs, the pairs head won (in the direction the head's
-//! `BENCHMARK.json` declares) and a two-sided sign-test p-value.
+//! pairs, the ratio of the two medians (what a no-regression bound on
+//! medians compares; `!` marks one worse than the metric's `bound` in the
+//! head's `BENCHMARK.json`), the pairs head won (in the direction that
+//! file declares) and a two-sided sign-test p-value.
 //!
 //! After the pairs it runs each revision once more with `--trace 1`.
 //!
@@ -387,8 +389,29 @@ fn num(v: f64) -> String {
 /// What a tree's `BENCHMARK.json` declares.
 struct Spec {
     workloads: Vec<String>,
-    /// Each end-to-end metric, and whether higher is better.
-    higher_is_better: Vec<(String, bool)>,
+    /// Each end-to-end metric: whether higher is better, and its bound.
+    end_to_end: Vec<(String, Bound)>,
+}
+
+/// An end-to-end metric's direction and no-regression bound.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Bound {
+    higher_is_better: bool,
+    /// How much worse the head's median may be, as a fraction of the
+    /// base's.
+    bound: f64,
+}
+
+impl Bound {
+    /// Whether a head median of `med_ratio` times the base's is worse
+    /// than the bound allows.
+    fn exceeded(&self, med_ratio: f64) -> bool {
+        if self.higher_is_better {
+            med_ratio < 1.0 - self.bound
+        } else {
+            med_ratio > 1.0 + self.bound
+        }
+    }
 }
 
 impl Spec {
@@ -396,23 +419,32 @@ impl Spec {
         let path = src.join("BENCHMARK.json");
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let json = Json::parse(&text).ok_or_else(|| format!("{}: not JSON", path.display()))?;
+        Spec::parse(&text).ok_or_else(|| format!("{}: not JSON", path.display()))
+    }
+
+    fn parse(text: &str) -> Option<Spec> {
+        let json = Json::parse(text)?;
         let entries = |key: &str| match json.get(key) {
             Some(Json::Arr(items)) => items.iter().collect(),
             _ => Vec::new(),
         };
         let name = |e: &Json| Some(e.get("name")?.str()?.to_string());
-        Ok(Spec {
+        let bound = |m: &Json| {
+            let higher_is_better = m.get("better")?.str()? == "higher";
+            let Json::Num(bound) = m.get("bound")? else { return None };
+            Some(Bound { higher_is_better, bound: bound.parse().ok()? })
+        };
+        Some(Spec {
             workloads: entries("workloads").into_iter().filter_map(name).collect(),
-            higher_is_better: entries("end_to_end")
+            end_to_end: entries("end_to_end")
                 .into_iter()
-                .filter_map(|m| Some((name(m)?, m.get("better")?.str()? == "higher")))
+                .filter_map(|m| Some((name(m)?, bound(m)?)))
                 .collect(),
         })
     }
 
-    fn higher_is_better(&self, metric: &str) -> Option<bool> {
-        self.higher_is_better.iter().find(|(n, _)| n == metric).map(|m| m.1)
+    fn bound(&self, metric: &str) -> Option<Bound> {
+        self.end_to_end.iter().find(|(n, _)| n == metric).map(|m| m.1)
     }
 }
 
@@ -475,19 +507,24 @@ fn compare(
             .map(|d| format!("{workload}: traced, {d} at {} against {}", head.name, base.name)),
     );
     println!(
-        "{:<18} {:>32} {:>32} {:>9} {:>6} {:>7}  per-pair head/base",
+        "{:<18} {:>32} {:>32} {:>9} {:>8} {:>6} {:>7}  per-pair head/base",
         "metric",
         "base median (quartiles)",
         "head median (quartiles)",
         "head/base",
+        "med/med",
         "wins",
         "sign p"
     );
     for (name, _) in &pairs[0].0.metrics {
         let value = |r: &Run| r.metrics.iter().find(|(n, _)| n == name).map_or(f64::NAN, |m| m.1);
         let ratios: Vec<f64> = pairs.iter().map(|(b, h)| value(h) / value(b)).collect();
-        let direction = spec.higher_is_better(name);
-        let (wins, losses) = match direction {
+        let bound = spec.bound(name);
+        let base_values: Vec<f64> = pairs.iter().map(|(b, _)| value(b)).collect();
+        let head_values: Vec<f64> = pairs.iter().map(|(_, h)| value(h)).collect();
+        let med_ratio = quantile(head_values.clone(), 0.5) / quantile(base_values.clone(), 0.5);
+        let mark = if bound.is_some_and(|b| b.exceeded(med_ratio)) { "!" } else { " " };
+        let (wins, losses) = match bound.map(|b| b.higher_is_better) {
             Some(higher) => pairs.iter().fold((0, 0), |(w, l), (b, h)| {
                 let (b, h) = (value(b), value(h));
                 let (better, worse) = if higher { (h > b, h < b) } else { (h < b, h > b) };
@@ -497,12 +534,13 @@ fn compare(
         };
         let shown: Vec<String> = ratios.iter().map(|r| format!("{r:.2}")).collect();
         println!(
-            "{:<18} {:>32} {:>32} {:>9.3} {:>6} {:>7.3}  [{}]",
+            "{:<18} {:>32} {:>32} {:>9.3} {:>7.3}{mark} {:>6} {:>7.3}  [{}]",
             name,
-            spread(pairs.iter().map(|(b, _)| value(b)).collect()),
-            spread(pairs.iter().map(|(_, h)| value(h)).collect()),
+            spread(base_values),
+            spread(head_values),
             quantile(ratios, 0.5),
-            if direction.is_some() { format!("{wins}/{}", o.pairs) } else { "-".into() },
+            med_ratio,
+            if bound.is_some() { format!("{wins}/{}", o.pairs) } else { "-".into() },
             sign_test(wins, losses),
             shown.join(", ")
         );
@@ -564,6 +602,20 @@ mod tests {
         assert_eq!(m.get("vt_x").and_then(|v| v.get("unit")).and_then(Json::str), Some("u"));
         assert!(Json::parse("{\"a\": 1,}").is_none());
         assert!(Json::parse("[1, 2] x").is_none());
+        let spec = Spec::parse(
+            r#"{"workloads": [{"name": "kv_store"}], "end_to_end": [
+                {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.workloads, ["kv_store"]);
+        let rss = spec.bound("peak_rss_mb").unwrap();
+        assert_eq!(rss, Bound { higher_is_better: false, bound: 0.15 });
+        assert!(rss.exceeded(30.23 / 22.46), "a 1.35x median is worse than a 0.15 bound");
+        assert!(!rss.exceeded(1.008));
+        let ops = spec.bound("ops_per_s").unwrap();
+        assert!(ops.exceeded(0.70) && !ops.exceeded(0.80) && !ops.exceeded(1.5));
+        assert_eq!(spec.bound("setup_s"), None);
     }
 
     #[test]

@@ -41,8 +41,8 @@ use crate::schedule::{BusCounters, BusKind, Grant, WireFault};
 
 /// One segment's transmission timeline and per-bus traffic counters.
 #[derive(Debug, Default)]
-struct Segment {
-    free_at: VTime,
+pub(crate) struct Segment {
+    pub(crate) free_at: VTime,
     counters: [BusCounters; 2],
 }
 
@@ -58,7 +58,7 @@ struct FlakyWindow {
 /// `ceil(clusters / segment_size)` transmission timelines.
 #[derive(Debug)]
 pub struct BusFabric {
-    segments: Vec<Segment>,
+    pub(crate) segments: Vec<Segment>,
     /// Clusters per segment; 0 means "unsegmented" (everything in
     /// segment 0), the paper's configuration.
     segment_size: u16,
@@ -85,7 +85,7 @@ pub struct BusFabric {
     /// How many grants probed the fault state. Fault-free
     /// configurations keep this at zero: the hot path pays nothing for
     /// the fault machinery's existence.
-    fault_probes: u64,
+    pub(crate) fault_probes: u64,
     /// Frames that crossed a gateway.
     gateway_frames: u64,
     /// Ticks of remote-segment bus time consumed by forwarded copies.
@@ -93,11 +93,6 @@ pub struct BusFabric {
 }
 
 impl BusFabric {
-    /// A single-segment fabric: the paper's one broadcast domain.
-    pub fn single() -> BusFabric {
-        BusFabric::new(0, 0, Dur::ZERO)
-    }
-
     /// A fabric for `clusters` clusters in segments of `segment_size`
     /// (0 = unsegmented). `gateway_latency` is charged to every frame
     /// that leaves its home segment.
@@ -123,19 +118,9 @@ impl BusFabric {
         }
     }
 
-    /// How many segments the fabric has.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// The segment a cluster's bus interface is attached to.
     pub fn segment_of(&self, cluster: u16) -> usize {
         cluster.checked_div(self.segment_size).unwrap_or(0) as usize
-    }
-
-    /// Frames that crossed a gateway so far.
-    pub fn gateway_frames(&self) -> u64 {
-        self.gateway_frames
     }
 
     /// Reserves the next exclusive window for a frame's *first* attempt
@@ -276,11 +261,6 @@ impl BusFabric {
         fault
     }
 
-    /// Grants that probed the fault state (zero in fault-free runs).
-    pub fn fault_probes(&self) -> u64 {
-        self.fault_probes
-    }
-
     /// Publishes the fabric's fleet totals: per bus, the traffic
     /// counters summed over segments (`bus.a.frames`, …) and whether the
     /// wire is failed or quarantined, plus the gateway counters. Every
@@ -413,11 +393,6 @@ impl BusFabric {
         total
     }
 
-    /// When segment 0's bus next becomes free (single-segment: the bus).
-    pub fn free_at(&self) -> VTime {
-        self.segments[0].free_at
-    }
-
     /// A switch to the other wire voids every segment's pending
     /// windows: each timeline starts fresh at `now`.
     fn restart_timelines(&mut self, now: VTime) {
@@ -435,10 +410,16 @@ mod tests {
         list.iter().copied()
     }
 
+    fn gateway_frames(fabric: &BusFabric) -> u64 {
+        let mut reg = auros_sim::MetricsRegistry::new();
+        fabric.publish_metrics(&mut reg);
+        reg.get("fabric.gateway_frames")
+    }
+
     #[test]
     fn segment_of_partitions_by_fixed_size() {
         let fabric = BusFabric::new(64, 16, Dur(30));
-        assert_eq!(fabric.segment_count(), 4);
+        assert_eq!(fabric.segments.len(), 4);
         assert_eq!(fabric.segment_of(0), 0);
         assert_eq!(fabric.segment_of(15), 0);
         assert_eq!(fabric.segment_of(16), 1);
@@ -451,12 +432,12 @@ mod tests {
         // Intra-segment: no gateway charge.
         let r = fabric.reserve_routed(0, targets(&[1, 7]), VTime(0), Dur(10), 64).unwrap();
         assert_eq!(r.deliver_at, VTime(10));
-        assert_eq!(fabric.gateway_frames(), 0);
+        assert_eq!(gateway_frames(&fabric), 0);
         // Cross-segment (two remote segments): one fixed charge.
         let r = fabric.reserve_routed(0, targets(&[9, 17]), VTime(0), Dur(10), 64).unwrap();
         assert_eq!(r.start, VTime(10), "home segment serializes its own windows");
         assert_eq!(r.deliver_at, VTime(10 + 10 + 30));
-        assert_eq!(fabric.gateway_frames(), 1);
+        assert_eq!(gateway_frames(&fabric), 1);
     }
 
     #[test]

@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn windows_are_disjoint_and_ordered() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         let w1 = window(reserve(&mut bus, VTime(0), Dur(10), 100).unwrap());
         let w2 = window(reserve(&mut bus, VTime(0), Dur(5), 50).unwrap());
         let w3 = window(reserve(&mut bus, VTime(100), Dur(5), 50).unwrap());
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         reserve(&mut bus, VTime(0), Dur(10), 100);
         reserve(&mut bus, VTime(0), Dur(10), 100);
         let c = bus.counters(BusKind::A);
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn failover_switches_bus() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         assert!(bus.fail(BusKind::A));
         assert_eq!(bus.active(), Some(BusKind::B));
         reserve(&mut bus, VTime(0), Dur(10), 1);
@@ -145,13 +145,13 @@ mod tests {
 
     #[test]
     fn fail_active_resets_standby_timeline() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         // A long frame occupies bus A far into the future.
         reserve(&mut bus, VTime(0), Dur(1_000), 64);
-        assert_eq!(bus.free_at(), VTime(1_000));
+        assert_eq!(bus.segments[0].free_at, VTime(1_000));
         // A dies mid-window; B takes over with a clean schedule.
         assert_eq!(bus.fail_active(VTime(400)), Some(BusKind::B));
-        assert_eq!(bus.free_at(), VTime(400), "standby is not encumbered by A's windows");
+        assert_eq!(bus.segments[0].free_at, VTime(400), "standby is not encumbered by A's windows");
         let w = window(reserve(&mut bus, VTime(0), Dur(10), 64).unwrap());
         assert_eq!(w, (VTime(400), VTime(410)));
         assert_eq!(bus.counters(BusKind::B).frames, 1);
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn retries_do_not_inflate_delivered_traffic() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         reserve(&mut bus, VTime(0), Dur(10), 100);
         bus.reserve_retry_routed(0, std::iter::empty(), VTime(0), Dur(10), 100);
         bus.reserve_retry_routed(0, std::iter::empty(), VTime(0), Dur(10), 100);
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn armed_fault_hits_first_window_at_or_after_arm_time() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         bus.arm_fault(VTime(15), WireFault::Drop);
         let r1 = reserve(&mut bus, VTime(0), Dur(10), 1).unwrap();
         assert_eq!(r1.fault, None, "window before the arm time is clean");
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn flaky_window_cycles_fault_kinds_deterministically() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         bus.add_flaky_window(VTime(0), VTime(100), BusKind::A);
         let kinds: Vec<_> =
             (0..4).map(|_| reserve(&mut bus, VTime(0), Dur(10), 1).unwrap().fault).collect();
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn flaky_window_does_not_touch_the_other_bus() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         bus.add_flaky_window(VTime(0), VTime(1_000), BusKind::B);
         let r = reserve(&mut bus, VTime(0), Dur(10), 1).unwrap();
         assert_eq!(r.bus, BusKind::A);
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn quarantine_moves_traffic_and_heal_restores_standby() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         reserve(&mut bus, VTime(0), Dur(100), 1);
         assert_eq!(bus.quarantine(BusKind::A, VTime(40)), Some(BusKind::B));
         assert!(bus.is_quarantined(BusKind::A));
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn standby_failure_lifts_quarantine_out_of_necessity() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         assert_eq!(bus.quarantine(BusKind::A, VTime(10)), Some(BusKind::B));
         assert!(bus.fail(BusKind::B), "quarantined A still counts as healthy");
         assert!(!bus.is_quarantined(BusKind::A), "necessity overrides quarantine");
@@ -246,20 +246,20 @@ mod tests {
 
     #[test]
     fn fault_free_grants_probe_no_fault_structures() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         for _ in 0..10_000 {
             reserve(&mut bus, VTime(0), Dur(10), 16);
         }
-        assert_eq!(bus.fault_probes(), 0, "fault-free grants must not touch fault state");
+        assert_eq!(bus.fault_probes, 0, "fault-free grants must not touch fault state");
         // Arming anything turns probing on — and the count stays honest.
         bus.arm_fault(VTime(0), WireFault::Drop);
         reserve(&mut bus, VTime(0), Dur(10), 16);
-        assert_eq!(bus.fault_probes(), 1);
+        assert_eq!(bus.fault_probes, 1);
     }
 
     #[test]
     fn flaky_window_matches_its_half_open_span() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         // Matched from both sides of an interior point.
         bus.add_flaky_window(VTime(4000), VTime(4200), BusKind::A);
         assert!(!bus.probe_ok(BusKind::A, VTime(4095)));
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn probe_ok_respects_failures_and_flaky_windows() {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         bus.add_flaky_window(VTime(100), VTime(200), BusKind::A);
         assert!(bus.probe_ok(BusKind::A, VTime(50)));
         assert!(!bus.probe_ok(BusKind::A, VTime(150)), "probe inside the storm fails");

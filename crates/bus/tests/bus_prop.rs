@@ -16,7 +16,7 @@ proptest! {
     fn prop_windows_disjoint_and_ordered(
         requests in proptest::collection::vec((0u64..10_000, 1u64..500, 0usize..4096), 1..300),
     ) {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         let mut prev_end = VTime::ZERO;
         for (earliest, xmit, bytes) in requests {
             let r = bus
@@ -34,7 +34,7 @@ proptest! {
     fn prop_counters_are_exact(
         requests in proptest::collection::vec((1u64..100, 1usize..2048), 1..100),
     ) {
-        let mut bus = BusFabric::single();
+        let mut bus = BusFabric::new(0, 0, Dur::ZERO);
         let mut busy = 0u64;
         let mut bytes_total = 0u64;
         for (xmit, bytes) in &requests {

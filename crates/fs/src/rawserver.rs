@@ -151,7 +151,7 @@ mod tests {
     fn drive(s: &mut RawServer, d: &mut DiskPair, p: Payload) -> Vec<Payload> {
         let mut ctx = ServerCtx::new(VTime(0), Pid(50), Some(d));
         s.on_message(Pid(1), end(), &p, &mut ctx);
-        ctx.sends.into_iter().map(|x| x.payload).collect()
+        ctx.effects.sends.into_iter().map(|x| x.payload).collect()
     }
 
     #[test]
@@ -203,7 +203,7 @@ mod tests {
             &Payload::Fs(FsRequest::FileWrite { data: vec![1].into() }),
             &mut ctx,
         );
-        assert!(!ctx.sync_after);
+        assert!(!ctx.effects.sync_after);
         let mut ctx2 = ServerCtx::new(VTime(1), Pid(50), Some(&mut d));
         s.on_message(
             Pid(1),
@@ -211,7 +211,7 @@ mod tests {
             &Payload::Fs(FsRequest::FileWrite { data: vec![2].into() }),
             &mut ctx2,
         );
-        assert!(ctx2.sync_after, "second write trips the cadence");
+        assert!(ctx2.effects.sync_after, "second write trips the cadence");
     }
 
     #[test]

@@ -276,10 +276,10 @@ mod tests {
         t.external_input(0, b"ls\n");
         let mut ctx = ServerCtx::new(VTime(1), Pid(40), Some(&mut t));
         s.on_device(&mut ctx);
-        assert_eq!(ctx.sends.len(), 1);
-        assert_eq!(ctx.sends[0].end, chan(10));
-        assert!(matches!(&ctx.sends[0].payload, Payload::Data(d) if d == b"ls\n"));
-        assert!(ctx.sync_after, "input consumption commits via sync");
+        assert_eq!(ctx.effects.sends.len(), 1);
+        assert_eq!(ctx.effects.sends[0].end, chan(10));
+        assert!(matches!(&ctx.effects.sends[0].payload, Payload::Data(d) if d == b"ls\n"));
+        assert!(ctx.effects.sync_after, "input consumption commits via sync");
     }
 
     #[test]
@@ -292,9 +292,9 @@ mod tests {
         t.external_input(1, b"one");
         let mut ctx = ServerCtx::new(VTime(1), Pid(40), Some(&mut t));
         s.on_device(&mut ctx);
-        assert_eq!(ctx.sends.len(), 2);
-        assert_eq!(ctx.sends[0].end, chan(10));
-        assert_eq!(ctx.sends[1].end, chan(11));
+        assert_eq!(ctx.effects.sends.len(), 2);
+        assert_eq!(ctx.effects.sends[0].end, chan(10));
+        assert_eq!(ctx.effects.sends[1].end, chan(11));
     }
 
     #[test]
@@ -306,9 +306,9 @@ mod tests {
         t.external_input(1, &[b'a', CTRL_C, b'b']);
         let mut ctx = ServerCtx::new(VTime(1), Pid(40), Some(&mut t));
         s.on_device(&mut ctx);
-        assert_eq!(ctx.sends.len(), 3, "data run, kill, data run");
+        assert_eq!(ctx.effects.sends.len(), 3, "data run, kill, data run");
         assert!(matches!(
-            &ctx.sends[1].payload,
+            &ctx.effects.sends[1].payload,
             Payload::Proc(ProcRequest::Kill { target, sig }) if *target == Pid(11) && *sig == Sig::INT
         ));
         assert_eq!(s.interrupts, 1);
@@ -347,7 +347,7 @@ mod tests {
         t.external_input(3, b"early");
         let mut ctx = ServerCtx::new(VTime(1), Pid(40), Some(&mut t));
         s.on_device(&mut ctx);
-        assert!(ctx.sends.is_empty());
+        assert!(ctx.effects.sends.is_empty());
     }
 
     #[test]

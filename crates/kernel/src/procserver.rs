@@ -159,8 +159,8 @@ mod tests {
         let mut s = ProcServer::new(3);
         let mut c = ctx(1234);
         s.on_message(Pid(1), port_end(), &Payload::Proc(ProcRequest::Time), &mut c);
-        assert_eq!(c.sends.len(), 1);
-        match &c.sends[0].payload {
+        assert_eq!(c.effects.sends.len(), 1);
+        match &c.effects.sends[0].payload {
             Payload::ProcReply(ProcReply::Time { now }) => assert_eq!(*now, 1234),
             other => panic!("unexpected reply {other:?}"),
         }
@@ -171,18 +171,18 @@ mod tests {
         let mut s = ProcServer::new(3);
         let mut c = ctx(100);
         s.on_message(Pid(7), port_end(), &Payload::Proc(ProcRequest::Alarm { after: 50 }), &mut c);
-        assert_eq!(c.timers.len(), 1);
-        let (delay, token) = c.timers[0];
+        assert_eq!(c.effects.timers.len(), 1);
+        let (delay, token) = c.effects.timers[0];
         assert_eq!(delay, Dur(50));
         let mut c2 = ctx(150);
         s.on_timer(token, &mut c2);
-        assert_eq!(c2.sends.len(), 1);
-        assert_eq!(c2.sends[0].end, ProcServer::signal_end_of(Pid(7)));
-        assert!(matches!(c2.sends[0].payload, Payload::Signal(s) if s == Sig::ALRM));
+        assert_eq!(c2.effects.sends.len(), 1);
+        assert_eq!(c2.effects.sends[0].end, ProcServer::signal_end_of(Pid(7)));
+        assert!(matches!(c2.effects.sends[0].payload, Payload::Signal(s) if s == Sig::ALRM));
         // The alarm is consumed.
         let mut c3 = ctx(160);
         s.on_timer(token, &mut c3);
-        assert!(c3.sends.is_empty());
+        assert!(c3.effects.sends.is_empty());
     }
 
     #[test]
@@ -190,17 +190,17 @@ mod tests {
         let mut s = ProcServer::new(3);
         let mut c = ctx(100);
         s.on_message(Pid(7), port_end(), &Payload::Proc(ProcRequest::Alarm { after: 50 }), &mut c);
-        let old_token = c.timers[0].1;
+        let old_token = c.effects.timers[0].1;
         let mut c2 = ctx(110);
         s.on_message(Pid(7), port_end(), &Payload::Proc(ProcRequest::Alarm { after: 99 }), &mut c2);
         // The old timer fires but must not deliver.
         let mut c3 = ctx(150);
         s.on_timer(old_token, &mut c3);
-        assert!(c3.sends.is_empty());
-        let new_token = c2.timers[0].1;
+        assert!(c3.effects.sends.is_empty());
+        let new_token = c2.effects.timers[0].1;
         let mut c4 = ctx(209);
         s.on_timer(new_token, &mut c4);
-        assert_eq!(c4.sends.len(), 1);
+        assert_eq!(c4.effects.sends.len(), 1);
     }
 
     #[test]
@@ -208,12 +208,12 @@ mod tests {
         let mut s = ProcServer::new(3);
         let mut c = ctx(100);
         s.on_message(Pid(7), port_end(), &Payload::Proc(ProcRequest::Alarm { after: 50 }), &mut c);
-        let token = c.timers[0].1;
+        let token = c.effects.timers[0].1;
         let mut c2 = ctx(110);
         s.on_message(Pid(7), port_end(), &Payload::Proc(ProcRequest::Alarm { after: 0 }), &mut c2);
         let mut c3 = ctx(150);
         s.on_timer(token, &mut c3);
-        assert!(c3.sends.is_empty());
+        assert!(c3.effects.sends.is_empty());
     }
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
             &Payload::Proc(ProcRequest::Kill { target: Pid(9), sig: Sig::INT }),
             &mut c,
         );
-        assert_eq!(c.sends[0].end, ProcServer::signal_end_of(Pid(9)));
+        assert_eq!(c.effects.sends[0].end, ProcServer::signal_end_of(Pid(9)));
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
             &Payload::Proc(ProcRequest::WhereIs { pid: Pid(6) }),
             &mut c2,
         );
-        match &c2.sends[0].payload {
+        match &c2.effects.sends[0].payload {
             Payload::ProcReply(ProcReply::Location { cluster, .. }) => {
                 assert_eq!(*cluster, Some(ClusterId(2)));
             }
@@ -271,7 +271,7 @@ mod tests {
             }),
             &mut c,
         );
-        match &c.sends[0].payload {
+        match &c.effects.sends[0].payload {
             Payload::ProcReply(ProcReply::Place { cluster, .. }) => {
                 assert_eq!(*cluster, Some(ClusterId(2)));
             }
@@ -288,7 +288,7 @@ mod tests {
             }),
             &mut c2,
         );
-        match &c2.sends[0].payload {
+        match &c2.effects.sends[0].payload {
             Payload::ProcReply(ProcReply::Place { cluster, .. }) => assert_eq!(*cluster, None),
             other => panic!("unexpected {other:?}"),
         }
@@ -302,7 +302,7 @@ mod tests {
         let mut s2 = s.clone();
         let mut c2 = ctx(300);
         s2.on_promote(&mut c2);
-        assert_eq!(c2.timers.len(), 1);
-        assert_eq!(c2.timers[0].0, Dur(300), "deadline 600 minus now 300");
+        assert_eq!(c2.effects.timers.len(), 1);
+        assert_eq!(c2.effects.timers[0].0, Dur(300), "deadline 600 minus now 300");
     }
 }

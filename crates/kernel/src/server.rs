@@ -76,19 +76,24 @@ pub struct ServerCtx<'a> {
     pub self_backup: Option<auros_bus::ClusterId>,
     /// The device this server controls, if it is a peripheral server.
     pub device: Option<&'a mut dyn Device>,
-    /// Buffered outgoing messages.
+    /// The effects this invocation buffers, applied at `ServerDone`.
+    pub effects: ServerEffects,
+}
+
+/// Buffered server-handler effects, applied at `ServerDone`.
+#[derive(Debug, Default)]
+pub struct ServerEffects {
+    /// Messages to send, in order.
     pub sends: Vec<SendOnEnd>,
-    /// Buffered timer requests: (delay, token).
+    /// Timers to arm: (delay, token).
     pub timers: Vec<(Dur, u64)>,
-    /// Buffered routing-entry creations: (primary cluster, backup
-    /// cluster, descriptor). Emitted as `CreatePort` controls.
+    /// Routing entries to create: (primary cluster, backup cluster,
+    /// descriptor). Emitted as `CreatePort` controls.
     pub create_ports: Vec<(auros_bus::ClusterId, Option<auros_bus::ClusterId>, ChannelInit)>,
-    /// Extra work-processor time this handling consumed, beyond the
-    /// fixed per-message cost.
-    pub extra_work: Dur,
-    /// Set when the server wants an explicit sync after this message
-    /// (peripheral-server style, §7.9).
+    /// Whether the server requested an explicit sync (§7.9).
     pub sync_after: bool,
+    /// Extra work-processor time beyond the fixed per-message cost.
+    pub extra_work: Dur,
 }
 
 impl<'a> ServerCtx<'a> {
@@ -100,11 +105,7 @@ impl<'a> ServerCtx<'a> {
             self_cluster: auros_bus::ClusterId(0),
             self_backup: None,
             device,
-            sends: Vec::new(),
-            timers: Vec::new(),
-            create_ports: Vec::new(),
-            extra_work: Dur::ZERO,
-            sync_after: false,
+            effects: ServerEffects::default(),
         }
     }
 
@@ -127,27 +128,27 @@ impl<'a> ServerCtx<'a> {
         backup_at: Option<auros_bus::ClusterId>,
         init: ChannelInit,
     ) {
-        self.create_ports.push((primary_at, backup_at, init));
+        self.effects.create_ports.push((primary_at, backup_at, init));
     }
 
     /// Queues a message to send on `end`.
     pub fn send(&mut self, end: ChanEnd, payload: Payload) {
-        self.sends.push(SendOnEnd { end, payload });
+        self.effects.sends.push(SendOnEnd { end, payload });
     }
 
     /// Requests a timer callback `after` from now, carrying `token`.
     pub fn set_timer(&mut self, after: Dur, token: u64) {
-        self.timers.push((after, token));
+        self.effects.timers.push((after, token));
     }
 
     /// Adds work-processor time to this handling.
     pub fn work(&mut self, d: Dur) {
-        self.extra_work += d;
+        self.effects.extra_work += d;
     }
 
     /// Requests an explicit sync once this handler returns (§7.9).
     pub fn request_sync(&mut self) {
-        self.sync_after = true;
+        self.effects.sync_after = true;
     }
 
     /// Downcasts the attached device.
@@ -285,9 +286,9 @@ mod tests {
         let mut ctx = ServerCtx::new(VTime(10), Pid(9), None);
         logic.on_message(Pid(1), end, &Payload::Data(vec![1, 2].into()), &mut ctx);
         assert_eq!(logic.seen, 1);
-        assert_eq!(ctx.sends.len(), 1);
-        assert_eq!(ctx.extra_work, Dur(3));
-        assert!(!ctx.sync_after);
+        assert_eq!(ctx.effects.sends.len(), 1);
+        assert_eq!(ctx.effects.extra_work, Dur(3));
+        assert!(!ctx.effects.sync_after);
     }
 
     #[test]

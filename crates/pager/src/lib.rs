@@ -282,7 +282,7 @@ mod tests {
     fn drive(server: &mut PageServer, store: &mut PageStore, payload: Payload) -> Vec<Payload> {
         let mut ctx = ServerCtx::new(VTime(0), Pid(99), Some(store));
         server.on_message(Pid(1), end(), &payload, &mut ctx);
-        ctx.sends.into_iter().map(|s| s.payload).collect()
+        ctx.effects.sends.into_iter().map(|s| s.payload).collect()
     }
 
     #[test]
