@@ -260,6 +260,195 @@ fn golden_reprotection() {
     pin("reprotect orphan", &mut sys, &golden::REPROTECT_ORPHAN);
 }
 
+/// Every system call through the full machine, with one crash: seek,
+/// unlink, time, alarm, kill, which/bunch, rand, file and raw-disk reads
+/// and writes, a directory listing and fork. Cluster 2 crashes at
+/// 20,000 while its file writer is blocked in a write whose sync record
+/// carries the pending call, so the promoted writer completes that call
+/// from its saved queue, and while the forker's never-synced children
+/// run, so the promoted forker replays both forks (§7.10.2). Pins the
+/// digest, every trace category's fingerprint and the final tick, so any
+/// change to the order in which a call sends, blocks, copies or
+/// completes shows here.
+#[test]
+fn golden_syscalls() {
+    use auros::sim::TraceKind;
+    let fresh = || {
+        let mut b = SystemBuilder::new(4);
+        b.raw_disks(1);
+        b.config_mut().sync_max_reads = 4;
+        b
+    };
+    // Pids are derivation-stable: the victim's pid comes from a dry build.
+    let victim = {
+        let mut dry = fresh();
+        let v = dry.spawn(1, usr1_counter(3));
+        dry.build().pids[v]
+    };
+    let run = |crash: bool| {
+        let mut b = fresh();
+        let v = b.spawn(1, usr1_counter(3));
+        b.spawn(3, killer(victim, 3, 3_000));
+        let writer = b.spawn(2, programs::file_writer("/d/w", 40, 64));
+        b.spawn(2, slow_forker(30_000));
+        b.spawn(2, programs::clock_sampler(4_000));
+        b.spawn(2, seeker("/sk"));
+        b.spawn(3, seeker("raw:0"));
+        b.spawn(1, programs::file_writer("raw:0", 4, 64));
+        b.spawn(0, programs::file_unlinker("/d/gone"));
+        b.spawn(3, programs::dir_lister("/d/"));
+        b.spawn(1, programs::alarm_waiter(5_000));
+        b.spawn(3, programs::selector("sa", "sb", 12));
+        b.spawn(0, programs::producer("sa", 6));
+        b.spawn(1, programs::producer("sb", 6));
+        b.spawn(2, programs::rand_streamer("rs", 6));
+        b.spawn(0, programs::consumer("rs", 6));
+        if crash {
+            b.crash_at(VTime(20_000), 2);
+        }
+        let mut sys = b.build();
+        assert_eq!(sys.pids[v], victim, "pids are derivation-stable");
+        sys.world.trace = TraceLog::capture_all();
+        assert!(sys.run(DEADLINE));
+        (sys, writer)
+    };
+    let clean = run(false).0.digest();
+    let (mut sys, writer) = run(true);
+    assert_eq!(sys.digest(), clean, "the crash is transparent");
+    let count = |f: fn(&TraceKind) -> bool| sys.world.trace.count_where(f);
+    assert_eq!(count(|k| matches!(k, TraceKind::SignalHandling { .. })), 4, "3 kills, 1 alarm");
+    assert_eq!(count(|k| matches!(k, TraceKind::Forked { .. })), 2);
+    assert_eq!(count(|k| matches!(k, TraceKind::ForkReplayed { .. })), 2);
+    assert_eq!(count(|k| matches!(k, TraceKind::PromotingBackup { .. })), 2);
+    // The promoted writer's first act is to consume the reply its
+    // pending write waited for, before it is ever dispatched.
+    let writer = sys.pids[writer].0;
+    let events = sys.world.trace.snapshot();
+    let promoted = events
+        .iter()
+        .position(|e| matches!(e.kind, TraceKind::PromotingBackup { pid, .. } if pid == writer))
+        .expect("the writer is promoted");
+    let first = events[promoted..].iter().find_map(|e| match e.kind {
+        TraceKind::Consumed { pid, .. } | TraceKind::Dispatched { pid } if pid == writer => {
+            Some(e.kind)
+        }
+        _ => None,
+    });
+    assert!(matches!(first, Some(TraceKind::Consumed { .. })), "pending call completed: {first:?}");
+    check("syscalls", sys.digest().fingerprint(), golden::SYSCALLS.0);
+    assert_eq!(sys.world.trace.fingerprints(), golden::SYSCALLS.1, "trace fingerprints changed");
+    assert_eq!(sys.world.now(), golden::SYSCALLS.2, "final tick changed");
+}
+
+/// A file (or raw-disk) round trip: opens `path`, writes 16 bytes from
+/// address 1024, seeks back to offset 8, reads 8 bytes into 2048 and
+/// exits with the word read.
+fn seeker(path: &str) -> auros::vm::Program {
+    use auros::vm::inst::regs::*;
+    use auros::vm::{ProgramBuilder, Sys};
+    let mut p = ProgramBuilder::new("seeker");
+    p.blit(256, path.as_bytes(), R1, R2);
+    p.li(R1, 256);
+    p.li(R2, path.len() as u64);
+    p.trap(Sys::Open);
+    p.mov(R4, R0);
+    p.li(R6, 0x1111_2222_3333_4444);
+    p.li(R7, 1024);
+    p.store_at(R6, R7, 0);
+    p.li(R6, 0x5555_6666_7777_8888);
+    p.store_at(R6, R7, 8);
+    p.mov(R1, R4);
+    p.li(R2, 1024);
+    p.li(R3, 16);
+    p.trap(Sys::Write);
+    p.mov(R1, R4);
+    p.li(R2, 8);
+    p.trap(Sys::Seek);
+    p.mov(R1, R4);
+    p.li(R2, 2048);
+    p.li(R3, 8);
+    p.trap(Sys::Read);
+    p.li(R7, 2048);
+    p.load(R1, R7, 0);
+    p.trap(Sys::Exit);
+    p.build()
+}
+
+/// Counts USR1 signals in a handler until `n` arrive, then exits with
+/// the count.
+fn usr1_counter(n: u64) -> auros::vm::Program {
+    use auros::vm::inst::regs::*;
+    use auros::vm::{ProgramBuilder, Sys};
+    let mut p = ProgramBuilder::new("usr1_counter");
+    let start = p.new_label();
+    p.jmp(start);
+    let handler = p.pos();
+    p.addi(R11, R11, 1);
+    p.trap(Sys::SigReturn);
+    p.bind(start);
+    p.li(R1, auros::bus::Sig::USR1.0 as u64);
+    p.li(R2, handler as u64);
+    p.trap(Sys::SigHandler);
+    let spin = p.here();
+    p.compute(100);
+    p.li(R7, n);
+    p.ltu(R8, R11, R7);
+    p.jnz(R8, spin);
+    p.mov(R1, R11);
+    p.trap(Sys::Exit);
+    p.build()
+}
+
+/// Sends USR1 to `victim` `n` times, `gap` fuel apart, then exits 0.
+fn killer(victim: auros::bus::Pid, n: u64, gap: u32) -> auros::vm::Program {
+    use auros::vm::inst::regs::*;
+    use auros::vm::{ProgramBuilder, Sys};
+    let mut k = ProgramBuilder::new("killer");
+    for _ in 0..n {
+        k.compute(gap);
+        k.li(R1, victim.0);
+        k.li(R2, auros::bus::Sig::USR1.0 as u64);
+        k.trap(Sys::Kill);
+    }
+    k.li(R1, 0);
+    k.trap(Sys::Exit);
+    k.build()
+}
+
+/// Forks two children, each computing `work` in 500-fuel steps and
+/// exiting with `1000 + index`; the parent then computes `work` the same
+/// way and exits with 2.
+fn slow_forker(work: u64) -> auros::vm::Program {
+    use auros::vm::inst::regs::*;
+    use auros::vm::{ProgramBuilder, Sys};
+    let spin = |p: &mut ProgramBuilder| {
+        p.li(R9, work / 500);
+        let top = p.here();
+        p.compute(500);
+        p.addi(R9, R9, -1);
+        p.jnz(R9, top);
+    };
+    let mut p = ProgramBuilder::new("slow_forker");
+    p.li(R5, 2);
+    p.li(R6, 0);
+    let top = p.here();
+    let parent = p.new_label();
+    p.trap(Sys::Fork);
+    p.jnz(R0, parent);
+    spin(&mut p);
+    p.li(R7, 1000);
+    p.add(R1, R7, R6);
+    p.trap(Sys::Exit);
+    p.bind(parent);
+    p.addi(R6, R6, 1);
+    p.addi(R5, R5, -1);
+    p.jnz(R5, top);
+    spin(&mut p);
+    p.li(R1, 2);
+    p.trap(Sys::Exit);
+    p.build()
+}
+
 /// The pinned values. Regenerate by running with `--nocapture` after a
 /// deliberate semantic change and copying the printed values.
 mod golden {
@@ -352,5 +541,21 @@ mod golden {
             0,
         ],
         auros::VTime(60_000),
+    );
+    /// `golden_syscalls`: (digest, trace fingerprints, final tick).
+    pub const SYSCALLS: (u64, [u64; 9], auros::VTime) = (
+        0x371e3e0c19464cef,
+        [
+            0xe80f1cb18bc47580,
+            0x4efa8805d2465332,
+            0x249163f024e46471,
+            0xb525bfa2f693a3ca,
+            0xbd24b95985810d3f,
+            0xd0d2205da9ae320c,
+            0,
+            0x1f808fe7d30635c6,
+            0x25f0cccb8b34554d,
+        ],
+        auros::VTime(115_000),
     );
 }
