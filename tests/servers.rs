@@ -333,3 +333,112 @@ fn shared_tty_server_crash_preserves_both_lines() {
     };
     assert_eq!(run(false), run(true), "both lines survive their server's crash");
 }
+
+/// A reply copy into a page that is not resident fetches the page once.
+/// The reader's buffer (page 0) is paged out under a one-page residency
+/// limit when its file read's reply arrives, and a stream of handled
+/// signals re-examines the pending read many times while the page is on
+/// its way. Every re-examination used to send another `PageIn`, and the
+/// extra installs overwrote the copied-in data with the pre-read image.
+#[test]
+fn pending_read_copy_requests_its_page_once() {
+    use auros_vm::inst::regs::*;
+    use auros_vm::{ProgramBuilder, Sys, PAGE_SIZE};
+    let page = PAGE_SIZE as u64;
+    let words: Vec<u64> = (1..=8u64).map(|i| i * 0x0101_0101_0101).collect();
+    let reader = || {
+        let mut p = ProgramBuilder::new("paged_reader");
+        let start = p.new_label();
+        p.jmp(start);
+        let handler = p.pos();
+        p.addi(R11, R11, 1);
+        p.trap(Sys::SigReturn);
+        p.bind(start);
+        p.li(R1, auros::bus::Sig::USR1.0 as u64);
+        p.li(R2, handler as u64);
+        p.trap(Sys::SigHandler);
+        // Touch page 0: the pre-read image of the buffer.
+        p.li(R6, 0x55);
+        p.li(R7, 0);
+        p.store_at(R6, R7, 0);
+        // Open `/f`, its name on page 2.
+        p.blit(2 * page, b"/f", R1, R2);
+        p.li(R1, 2 * page);
+        p.li(R2, 2);
+        p.trap(Sys::Open);
+        p.mov(R4, R0);
+        // Write 64 bytes from page 1, seek back and read them into page 0.
+        p.li(R7, page);
+        for (i, w) in words.iter().enumerate() {
+            p.li(R6, *w);
+            p.store_at(R6, R7, 8 * i as u32);
+        }
+        p.mov(R1, R4);
+        p.li(R2, page);
+        p.li(R3, 64);
+        p.trap(Sys::Write);
+        p.mov(R1, R4);
+        p.li(R2, 0);
+        p.trap(Sys::Seek);
+        p.mov(R1, R4);
+        p.li(R2, 0);
+        p.li(R3, 64);
+        p.trap(Sys::Read);
+        p.mov(R12, R0);
+        p.compute(2_000);
+        // Exit with the buffer's checksum plus the bytes read.
+        p.li(R7, 0);
+        for i in 0..8 {
+            p.load(R6, R7, 8 * i);
+            p.add(R12, R12, R6);
+        }
+        p.mov(R1, R12);
+        p.trap(Sys::Exit);
+        p.build()
+    };
+    let killer = |victim: auros::Pid| {
+        let mut k = ProgramBuilder::new("usr1_storm");
+        k.li(R5, 400);
+        let top = k.here();
+        k.compute(20);
+        k.li(R1, victim.0);
+        k.li(R2, auros::bus::Sig::USR1.0 as u64);
+        k.trap(Sys::Kill);
+        k.addi(R5, R5, -1);
+        k.jnz(R5, top);
+        k.li(R1, 0);
+        k.trap(Sys::Exit);
+        k.build()
+    };
+    let run = |limit: Option<usize>| {
+        let fresh = || {
+            let mut b = SystemBuilder::new(3);
+            b.config_mut().resident_page_limit = limit;
+            b
+        };
+        let victim = {
+            let mut dry = fresh();
+            let r = dry.spawn(2, reader());
+            dry.build().pids[r]
+        };
+        let mut b = fresh();
+        let r = b.spawn(2, reader());
+        b.spawn(1, killer(victim));
+        let mut sys = b.build();
+        assert_eq!(sys.pids[r], victim, "pids are derivation-stable");
+        sys.world.trace = TraceLog::capture_all();
+        assert!(sys.run(DEADLINE));
+        let count = |f: &dyn Fn(&TraceKind) -> bool| sys.world.trace.count_where(f);
+        let installs =
+            count(&|k| matches!(*k, TraceKind::PageInstalled { pid, .. } if pid == victim.0));
+        let evictions =
+            count(&|k| matches!(*k, TraceKind::PageEvicted { pid, .. } if pid == victim.0));
+        (sys.exit_of(r), installs, evictions)
+    };
+    let want = words.iter().fold(64u64, |a, w| a.wrapping_add(*w));
+    assert_eq!(run(None).0, Some(want), "the read lands in the buffer");
+    let (exit, installs, evictions) = run(Some(1));
+    assert!(evictions > 0, "the buffer is paged out");
+    assert!(installs <= evictions, "{installs} installs for {evictions} evictions");
+    assert_eq!(exit, Some(want), "paging is transparent to the read");
+}
