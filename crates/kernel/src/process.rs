@@ -21,8 +21,9 @@ use auros_bus::{ClusterId, Fd, Pid, Sig};
 use auros_sim::VTime;
 use auros_vm::Machine;
 
+use crate::config::Config;
 use crate::server::ServerLogic;
-use crate::world::World;
+use crate::world::{bootstrap_end, ports, World};
 
 /// What a process *is*: a guest VM or a server state machine.
 pub enum ProcessBody {
@@ -272,6 +273,23 @@ impl Pcb {
             nondet_replay: std::collections::VecDeque::new(),
             checkpoint_debt: auros_sim::Dur::ZERO,
         }
+    }
+
+    /// A runnable user process around `machine`, with fds 0 and 1 bound
+    /// to its file-server and process-server bootstrap channels.
+    pub fn user(pid: Pid, machine: Machine, mode: BackupMode) -> Pcb {
+        let body = ProcessBody::User(Box::new(machine));
+        let mut pcb = Pcb::new(pid, body, mode, ProcessState::Runnable);
+        pcb.fds.insert(Fd(0), bootstrap_end(pid, ports::FS));
+        pcb.fds.insert(Fd(1), bootstrap_end(pid, ports::PROC));
+        pcb.next_fd = 2;
+        pcb
+    }
+
+    /// Whether the reads or the fuel since the last sync trip a sync
+    /// trigger (§7.8).
+    pub fn sync_due(&self, cfg: &Config) -> bool {
+        self.reads_since_sync > cfg.sync_max_reads || self.fuel_since_sync > cfg.sync_max_fuel
     }
 
     /// Allocates the next fd (deterministic across replay).

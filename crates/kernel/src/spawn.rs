@@ -9,15 +9,13 @@
 use std::sync::Arc;
 
 use auros_bus::proto::{BackupMode, ChanKind, KernelState, SharedImage};
-use auros_bus::{ClusterId, Fd, Pid};
+use auros_bus::{ClusterId, Pid};
 use auros_vm::Program;
 
 use crate::cluster::{BackupRecord, ServerLoc};
 use crate::process::{BackupStatus, Pcb, ProcessBody, ProcessState};
 use crate::server::{ServerImage, ServerLogic};
-use crate::world::{
-    bootstrap_channel_inits, bootstrap_end, kernel_port_end, ports, service_kind_for_slot, World,
-};
+use crate::world::{bootstrap_channel_inits, kernel_port_end, ports, service_kind_for_slot, World};
 
 /// Which global service a server provides (fills cluster directories).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -54,16 +52,11 @@ impl World {
             None
         };
         assert_ne!(backup, Some(cluster), "backup must live in another cluster");
-        let machine = auros_vm::Machine::new(program.clone());
-        let mut pcb =
-            Pcb::new(pid, ProcessBody::User(Box::new(machine)), mode, ProcessState::Runnable);
+        let mut pcb = Pcb::user(pid, auros_vm::Machine::new(program.clone()), mode);
         pcb.backup = match backup {
             Some(b) => BackupStatus::At(b),
             None => BackupStatus::None,
         };
-        pcb.fds.insert(Fd(0), bootstrap_end(pid, ports::FS));
-        pcb.fds.insert(Fd(1), bootstrap_end(pid, ports::PROC));
-        pcb.next_fd = 2;
         self.wire_bootstrap_direct(cluster, pid, backup, mode);
         // Head-of-family backup record, created with the primary (§7.7).
         if let Some(b) = backup {

@@ -13,7 +13,7 @@
 //! on the same FIFO outgoing queue and zeroes its count).
 
 use auros_bus::proto::{
-    ChanKind, Control, FsReply, FsRequest, PagerRequest, Payload, PendingCall, ProcReply,
+    ChanEnd, ChanKind, Control, FsReply, FsRequest, PagerRequest, Payload, PendingCall, ProcReply,
     ProcRequest, ServiceKind,
 };
 use auros_bus::{ClusterId, DeliveryTag, Fd, Pid, Sig};
@@ -146,9 +146,7 @@ impl World {
         if pcb.is_dead() {
             return;
         }
-        let wants_sync = pcb.reads_since_sync > self.cfg.sync_max_reads
-            || pcb.fuel_since_sync > self.cfg.sync_max_fuel;
-        if wants_sync {
+        if pcb.sync_due(&self.cfg) {
             self.perform_sync(cid, pid);
         }
         let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) else {
@@ -187,14 +185,8 @@ impl World {
         self.stats.exits += 1;
         let now = self.now();
         self.trace.emit(now, Loc::Cluster(cid.0), TraceKind::Finished { pid: pid.0, status });
-        // Close every channel end: peers mark the channel dead.
-        let ends = self.clusters[ci].routing.ends_of(pid);
-        for end in ends {
-            let Some(entry) = self.clusters[ci].routing.remove_primary(&end) else {
-                continue;
-            };
-            let targets = entry.peer.clusters().map(|c| (c, DeliveryTag::Kernel)).collect();
-            self.send_control(cid, targets, Payload::Control(Control::ChannelClosed { end }));
+        for end in self.clusters[ci].routing.ends_of(pid) {
+            self.close_end(cid, end);
         }
         if let Some(b) = backup_cluster {
             self.send_control(
@@ -206,6 +198,16 @@ impl World {
         if !is_server {
             self.kernel_send_pager(cid, PagerRequest::DropAccount { pid });
         }
+    }
+
+    /// Removes a live end and tells its peer's clusters, which mark the
+    /// channel dead.
+    fn close_end(&mut self, cid: ClusterId, end: ChanEnd) {
+        let Some(entry) = self.clusters[cid.0 as usize].routing.remove_primary(&end) else {
+            return;
+        };
+        let targets = entry.peer.clusters().map(|c| (c, DeliveryTag::Kernel)).collect();
+        self.send_control(cid, targets, Payload::Control(Control::ChannelClosed { end }));
     }
 
     // ------------------------------------------------------------------
@@ -323,7 +325,7 @@ impl World {
         &mut self,
         cid: ClusterId,
         pid: Pid,
-        end: auros_bus::proto::ChanEnd,
+        end: ChanEnd,
     ) -> Option<crate::routing::Queued> {
         let ci = cid.0 as usize;
         let q = self.clusters[ci].routing.pop_primary_front(&end)?;
@@ -383,81 +385,60 @@ impl World {
         }
     }
 
+    /// Completes a call waiting for a server's reply on `end`, once the
+    /// reply is at the front of the queue.
     fn try_complete_write_reply(
         &mut self,
         cid: ClusterId,
         pid: Pid,
-        end: auros_bus::proto::ChanEnd,
+        end: ChanEnd,
         buf: u64,
         cap: u64,
     ) {
-        let ci = cid.0 as usize;
-        let front = self.clusters[ci]
-            .routing
-            .primary(&end)
-            .and_then(|e| e.queue.front())
-            .map(|q| q.msg.payload.clone());
-        let Some(payload) = front else {
+        let entry = self.clusters[cid.0 as usize].routing.primary(&end);
+        let Some(payload) = entry.and_then(|e| e.queue.front()).map(|q| q.msg.payload.clone())
+        else {
             // No reply yet; if the peer is gone the call fails.
-            let gone =
-                self.clusters[ci].routing.primary(&end).map(|e| e.peer_closed).unwrap_or(true);
-            if gone {
+            if entry.is_none_or(|e| e.peer_closed) {
                 self.set_result_and_wake(cid, pid, ERR);
             }
             return;
         };
-        match payload {
-            Payload::FsReply(FsReply::Ack(n)) => {
-                self.consume_front(cid, pid, end);
-                self.set_result_and_wake(cid, pid, n);
-            }
+        let value = match payload {
+            Payload::FsReply(FsReply::Ack(n)) => n,
             Payload::FsReply(FsReply::Data(d)) => {
                 // Copy the reply into the guest buffer; a residency fault
                 // leaves the reply queued and fetches the page first.
                 let n = d.len().min(cap as usize);
-                let write = self.with_machine(cid, pid, |m| m.memory_mut().write(buf, &d[..n]));
-                match write {
-                    Some(Access::Ok) | None => {
-                        self.consume_front(cid, pid, end);
-                        self.set_result_and_wake(cid, pid, n as u64);
-                    }
+                match self.with_machine(cid, pid, |m| m.memory_mut().write(buf, &d[..n])) {
+                    Some(Access::Ok) | None => n as u64,
                     Some(Access::Fault(p)) => {
                         self.kernel_send_pager(cid, PagerRequest::PageIn { pid, page: p });
+                        return;
                     }
-                    Some(Access::OutOfRange(_)) => {
-                        self.consume_front(cid, pid, end);
-                        self.set_result_and_wake(cid, pid, ERR);
-                    }
+                    Some(Access::OutOfRange(_)) => ERR,
                 }
             }
-            Payload::FsReply(FsReply::Err(_)) | Payload::FsReply(FsReply::OpenFailed { .. }) => {
-                self.consume_front(cid, pid, end);
-                self.set_result_and_wake(cid, pid, ERR);
-            }
-            Payload::ProcReply(ProcReply::Time { now }) => {
-                self.consume_front(cid, pid, end);
-                self.set_result_and_wake(cid, pid, now);
-            }
+            Payload::ProcReply(ProcReply::Time { now }) => now,
             Payload::ProcReply(ProcReply::Location { cluster, .. }) => {
-                self.consume_front(cid, pid, end);
-                let v = cluster.map(|c| c.0 as u64).unwrap_or(ERR);
-                self.set_result_and_wake(cid, pid, v);
+                cluster.map(|c| c.0 as u64).unwrap_or(ERR)
             }
-            Payload::ProcReply(ProcReply::AlarmSet | ProcReply::Killed { .. }) => {
-                self.consume_front(cid, pid, end);
-                self.set_result_and_wake(cid, pid, 0);
-            }
-            _ => {
-                // Unexpected payload for this block; consume defensively
-                // so the channel cannot wedge, and fail the call.
-                self.consume_front(cid, pid, end);
-                self.set_result_and_wake(cid, pid, ERR);
-            }
-        }
+            Payload::ProcReply(ProcReply::AlarmSet | ProcReply::Killed { .. }) => 0,
+            // An error reply, or a payload unexpected for this block: the
+            // call fails, and consuming it keeps the channel from wedging.
+            _ => ERR,
+        };
+        self.consume_front(cid, pid, end);
+        self.set_result_and_wake(cid, pid, value);
+    }
+
+    /// Sets a call's result register.
+    fn set_result(&mut self, cid: ClusterId, pid: Pid, value: u64) {
+        self.with_machine(cid, pid, |m| m.set_reg(R0, value));
     }
 
     fn set_result_and_wake(&mut self, cid: ClusterId, pid: Pid, value: u64) {
-        self.with_machine(cid, pid, |m| m.set_reg(R0, value));
+        self.set_result(cid, pid, value);
         self.wake(cid, pid);
     }
 
@@ -471,56 +452,43 @@ impl World {
     // Signals (§7.5.2)
     // ------------------------------------------------------------------
 
+    /// The signal at the front of `end`'s queue, if any.
+    fn front_signal(&self, cid: ClusterId, end: ChanEnd) -> Option<Sig> {
+        let q = self.clusters[cid.0 as usize].routing.primary(&end)?.queue.front()?;
+        match q.msg.payload {
+            Payload::Signal(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// Called when a message lands on a signal channel: uncaught signals
     /// kill immediately; others wait for the next dispatch boundary.
-    pub(crate) fn note_signal_arrival(
-        &mut self,
-        cid: ClusterId,
-        end: auros_bus::proto::ChanEnd,
-        owner: Pid,
-    ) {
-        let ci = cid.0 as usize;
-        let is_signal = self.clusters[ci]
-            .routing
-            .primary(&end)
-            .map(|e| e.kind == ChanKind::Signal)
-            .unwrap_or(false);
-        if !is_signal {
+    pub(crate) fn note_signal_arrival(&mut self, cid: ClusterId, end: ChanEnd, owner: Pid) {
+        let c = &self.clusters[cid.0 as usize];
+        if c.routing.primary(&end).is_none_or(|e| e.kind != ChanKind::Signal) {
             return;
         }
-        let Some(pcb) = self.clusters[ci].procs.get(&owner) else {
+        let Some(pcb) = c.procs.get(&owner) else {
             return;
         };
         if pcb.is_dead() || pcb.is_server() {
             return;
         }
-        // Peek the front signal's disposition.
-        let front_sig =
-            self.clusters[ci].routing.primary(&end).and_then(|e| e.queue.front()).and_then(|q| {
-                match q.msg.payload {
-                    Payload::Signal(s) => Some(s),
-                    _ => None,
-                }
-            });
-        let Some(sig) = front_sig else { return };
-        let Some(pcb) = self.clusters[ci].procs.get(&owner) else { return };
-        match pcb.handlers.get(&sig) {
-            None => {
-                // Default disposition: terminate, even while blocked.
-                let now = self.now();
-                self.trace.emit(
-                    now,
-                    Loc::Cluster(cid.0),
-                    TraceKind::SignalKilled { owner: owner.0, sig: sig.0 },
-                );
-                self.finish_process(cid, owner, ProcessState::Killed);
-            }
-            Some(_) => {
-                // Handled or ignored: processed at the next dispatch
-                // boundary; if the process is merely runnable/idle this
-                // is imminent. Blocked processes handle it on wake-up.
-            }
+        let Some(sig) = self.front_signal(cid, end) else { return };
+        // Handled or ignored signals are processed at the next dispatch
+        // boundary: imminent if the process is runnable or idle, on
+        // wake-up if it is blocked.
+        if pcb.handlers.contains_key(&sig) {
+            return;
         }
+        // Default disposition: terminate, even while blocked.
+        let now = self.now();
+        self.trace.emit(
+            now,
+            Loc::Cluster(cid.0),
+            TraceKind::SignalKilled { owner: owner.0, sig: sig.0 },
+        );
+        self.finish_process(cid, owner, ProcessState::Killed);
     }
 
     /// Processes pending signals at a dispatch boundary. Returns `false`
@@ -531,28 +499,18 @@ impl World {
     /// backup finds the signal in its saved queue and handles it at the
     /// same place (§7.5.2).
     pub(crate) fn check_signals(&mut self, cid: ClusterId, pid: Pid) -> bool {
-        let ci = cid.0 as usize;
+        let sig_end = bootstrap_end(pid, ports::SIGNAL);
         loop {
-            let Some(pcb) = self.clusters[ci].procs.get(&pid) else {
+            let Some(pcb) = self.clusters[cid.0 as usize].procs.get(&pid) else {
                 return false;
             };
             if pcb.is_dead() {
                 return false;
             }
-            let sig_end = bootstrap_end(pid, ports::SIGNAL);
-            let front =
-                self.clusters[ci].routing.primary(&sig_end).and_then(|e| e.queue.front()).and_then(
-                    |q| match q.msg.payload {
-                        Payload::Signal(s) => Some(s),
-                        _ => None,
-                    },
-                );
-            let Some(sig) = front else {
+            let Some(sig) = self.front_signal(cid, sig_end) else {
                 return true;
             };
-            let Some(pcb) = self.clusters[ci].procs.get(&pid) else { return false };
-            let disposition = pcb.handlers.get(&sig).copied();
-            match disposition {
+            match pcb.handlers.get(&sig).copied() {
                 None => {
                     self.finish_process(cid, pid, ProcessState::Killed);
                     return false;
@@ -601,17 +559,18 @@ impl World {
             return fixed;
         };
         let [r1, r2, _] = args;
+        let proc_end = bootstrap_end(pid, ports::PROC);
         match sys {
-            Sys::GetPid => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, pid.0));
-                fixed
-            }
-            Sys::Yield => fixed,
+            Sys::Read => return fixed + self.sys_read(cid, pid, args),
+            Sys::Write => return fixed + self.sys_write(cid, pid, args),
+            Sys::Fork => return fixed + self.sys_fork(cid, pid),
+            Sys::GetPid => self.set_result(cid, pid, pid.0),
+            // `SigReturn` is handled inside the machine.
+            Sys::Yield | Sys::SigReturn => {}
             Sys::SigHandler => {
                 if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
                     pcb.handlers.insert(Sig(r1 as u8), r2 as u32);
                 }
-                fixed
             }
             Sys::Bunch => {
                 let fd = Fd(r2 as u32);
@@ -621,50 +580,44 @@ impl World {
                         members.push(fd);
                     }
                 }
-                fixed
             }
-            Sys::Exit => {
-                self.finish_process(cid, pid, ProcessState::Exited(r1));
-                fixed
-            }
+            Sys::Exit => self.finish_process(cid, pid, ProcessState::Exited(r1)),
             Sys::Open => self.sys_open(cid, pid, args),
             Sys::Close => self.sys_close(cid, pid, args),
-            Sys::Read => self.sys_read(cid, pid, args),
-            Sys::Write => self.sys_write(cid, pid, args),
-            Sys::Which => self.sys_which(cid, pid, args),
-            Sys::Fork => self.sys_fork(cid, pid),
+            Sys::Which => match self.which_candidate(cid, pid, r1) {
+                Some(fd) => self.set_result(cid, pid, fd.0 as u64),
+                None => self.rewind_and_block(cid, pid, BlockState::Which { group: r1 }),
+            },
             Sys::Time => {
-                let end = bootstrap_end(pid, ports::PROC);
-                match self.send_on_end(cid, pid, end, Payload::Proc(ProcRequest::Time)) {
-                    SendOutcome::Sent | SendOutcome::Suppressed => {
-                        self.block_pending(
-                            cid,
-                            pid,
-                            PendingCall::WriteReply { end, buf: 0, cap: 0 },
-                        );
-                    }
-                    _ => {
-                        self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                    }
-                }
-                fixed
+                let reply = PendingCall::WriteReply { end: proc_end, buf: 0, cap: 0 };
+                self.request(cid, pid, proc_end, Payload::Proc(ProcRequest::Time), Some(reply));
             }
+            // Alarm and kill return at once, whatever the send's outcome.
             Sys::Alarm => {
-                let end = bootstrap_end(pid, ports::PROC);
                 let alarm = ProcRequest::Alarm { after: r1 };
-                self.send_on_end(cid, pid, end, Payload::Proc(alarm));
-                self.with_machine(cid, pid, |m| m.set_reg(R0, 0));
-                fixed
+                self.send_on_end(cid, pid, proc_end, Payload::Proc(alarm));
+                self.set_result(cid, pid, 0);
             }
             Sys::Kill => {
-                let end = bootstrap_end(pid, ports::PROC);
                 let kill = ProcRequest::Kill { target: Pid(r1), sig: Sig(r2 as u8) };
-                self.send_on_end(cid, pid, end, Payload::Proc(kill));
-                self.with_machine(cid, pid, |m| m.set_reg(R0, 0));
-                fixed
+                self.send_on_end(cid, pid, proc_end, Payload::Proc(kill));
+                self.set_result(cid, pid, 0);
             }
-            Sys::Seek => self.sys_seek(cid, pid, args),
-            Sys::Unlink => self.sys_unlink(cid, pid, args),
+            Sys::Seek => {
+                let Some(end) = self.fd_end(cid, pid, r1) else { return fixed };
+                let reply = PendingCall::WriteReply { end, buf: 0, cap: 0 };
+                let seek = FsRequest::FileSeek { pos: r2 };
+                self.request(cid, pid, end, Payload::Fs(seek), Some(reply));
+            }
+            Sys::Unlink => {
+                let Some(name) = self.read_guest(cid, pid, r1, r2.min(256) as usize) else {
+                    return fixed;
+                };
+                let name = auros_bus::ChannelName::new(String::from_utf8_lossy(&name).into_owned());
+                let end = bootstrap_end(pid, ports::FS);
+                let reply = PendingCall::WriteReply { end, buf: 0, cap: 0 };
+                self.request(cid, pid, end, Payload::Fs(FsRequest::Unlink { name }), Some(reply));
+            }
             Sys::Rand => {
                 // §10: replay a logged result during rollforward, else
                 // decide fresh from an environmental source and hold it
@@ -684,11 +637,10 @@ impl World {
                         fresh
                     }
                 };
-                self.with_machine(cid, pid, |m| m.set_reg(R0, value));
-                fixed
+                self.set_result(cid, pid, value);
             }
-            Sys::SigReturn => fixed, // Handled inside the machine.
         }
+        fixed
     }
 
     fn with_machine<T>(
@@ -700,27 +652,62 @@ impl World {
         self.cluster_mut(cid).procs.get_mut(&pid).and_then(|p| p.machine_mut()).map(f)
     }
 
-    fn sys_open(&mut self, cid: ClusterId, pid: Pid, [ptr, len, _]: [u64; 3]) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
-        let len = len.min(256) as usize;
-        let mut name_bytes = vec![0u8; len];
-        let read = self
-            .with_machine(cid, pid, |m| m.memory_mut().read(ptr, &mut name_bytes))
-            .unwrap_or(Access::Ok);
-        match read {
-            Access::Ok => {}
-            Access::Fault(p) => {
-                self.rewind_and_block_on_page(cid, pid, p);
-                return fixed;
+    /// Sends a call's request on `end` (§7.5.1) and returns the outcome.
+    /// A request on the outgoing queue, or suppressed because the failed
+    /// primary already sent it (§5.4), blocks the caller until `reply`
+    /// arrives; with no `reply` the call returns at once. An unusable
+    /// channel rewinds the trap and blocks until the channel is usable
+    /// (§7.10.1). A gone peer fails the call.
+    fn request(
+        &mut self,
+        cid: ClusterId,
+        pid: Pid,
+        end: ChanEnd,
+        payload: Payload,
+        reply: Option<PendingCall>,
+    ) -> SendOutcome {
+        let outcome = self.send_on_end(cid, pid, end, payload);
+        match outcome {
+            SendOutcome::Sent | SendOutcome::Suppressed => {
+                if let Some(call) = reply {
+                    self.block_pending(cid, pid, call);
+                }
             }
-            Access::OutOfRange(_) => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                return fixed;
-            }
+            SendOutcome::Unusable => self.rewind_and_block(cid, pid, BlockState::Unusable { end }),
+            SendOutcome::PeerGone => self.set_result(cid, pid, ERR),
         }
-        let name = String::from_utf8_lossy(&name_bytes).into_owned();
+        outcome
+    }
+
+    /// Copies `len` bytes of the caller's memory at `ptr`. A missing page
+    /// rewinds the trap and blocks on the page; an address out of range
+    /// fails the call. Either way the call is over for now: `None`.
+    fn read_guest(&mut self, cid: ClusterId, pid: Pid, ptr: u64, len: usize) -> Option<Vec<u8>> {
+        let mut bytes = vec![0u8; len];
+        match self.with_machine(cid, pid, |m| m.memory_mut().read(ptr, &mut bytes))? {
+            Access::Ok => return Some(bytes),
+            Access::Fault(page) => self.rewind_and_block_on_page(cid, pid, page),
+            Access::OutOfRange(_) => self.set_result(cid, pid, ERR),
+        }
+        None
+    }
+
+    /// The channel end bound to `fd`; an unbound fd fails the call.
+    fn fd_end(&mut self, cid: ClusterId, pid: Pid, fd: u64) -> Option<ChanEnd> {
+        let end = self.clusters[cid.0 as usize].procs.get(&pid)?.end_of(Fd(fd as u32));
+        if end.is_none() {
+            self.set_result(cid, pid, ERR);
+        }
+        end
+    }
+
+    fn sys_open(&mut self, cid: ClusterId, pid: Pid, [ptr, len, _]: [u64; 3]) {
+        let Some(name) = self.read_guest(cid, pid, ptr, len.min(256) as usize) else {
+            return;
+        };
+        let name = String::from_utf8_lossy(&name).into_owned();
         let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) else {
-            return fixed;
+            return;
         };
         let (fd, opener_backup, opener_mode) = (pcb.alloc_fd(), pcb.backup.cluster(), pcb.mode);
         let req = FsRequest::Open {
@@ -732,278 +719,119 @@ impl World {
             opener_mode,
         };
         let end = bootstrap_end(pid, ports::FS);
-        match self.send_on_end(cid, pid, end, Payload::Fs(req)) {
-            SendOutcome::Sent | SendOutcome::Suppressed => {
-                self.block_pending(cid, pid, PendingCall::Open { fd });
-            }
-            SendOutcome::Unusable => {
-                // Undo the fd allocation and retry when usable.
-                if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
-                    pcb.next_fd -= 1;
-                }
-                self.rewind_and_block(cid, pid, BlockState::Unusable { end });
-            }
-            SendOutcome::PeerGone => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
+        let reply = Some(PendingCall::Open { fd });
+        if self.request(cid, pid, end, Payload::Fs(req), reply) == SendOutcome::Unusable {
+            // Undo the fd allocation: the call re-executes when usable.
+            if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
+                pcb.next_fd -= 1;
             }
         }
-        fixed
     }
 
-    fn sys_close(&mut self, cid: ClusterId, pid: Pid, [fd, _, _]: [u64; 3]) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
-        let fd = Fd(fd as u32);
-        let ci = cid.0 as usize;
-        let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
-            self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-            return fixed;
+    fn sys_close(&mut self, cid: ClusterId, pid: Pid, [fd, _, _]: [u64; 3]) {
+        let Some(end) = self.fd_end(cid, pid, fd) else {
+            return;
         };
-        let entry = self.clusters[ci].routing.remove_primary(&end);
-        if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
+        let fd = Fd(fd as u32);
+        if let Some(pcb) = self.cluster_mut(cid).procs.get_mut(&pid) {
             pcb.fds.remove(&fd);
             pcb.closed_since_sync.push(end);
             for members in pcb.bunches.values_mut() {
                 members.retain(|f| *f != fd);
             }
         }
-        if let Some(entry) = entry {
-            let targets = entry.peer.clusters().map(|c| (c, DeliveryTag::Kernel)).collect();
-            self.send_control(cid, targets, Payload::Control(Control::ChannelClosed { end }));
-        }
-        self.with_machine(cid, pid, |m| m.set_reg(R0, 0));
-        fixed
+        self.close_end(cid, end);
+        self.set_result(cid, pid, 0);
     }
 
+    /// Returns the copy cost of the data read.
     fn sys_read(&mut self, cid: ClusterId, pid: Pid, [fd, buf, cap]: [u64; 3]) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
-        let fd = Fd(fd as u32);
-        let ci = cid.0 as usize;
-        let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
-            self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-            return fixed;
+        let Some(end) = self.fd_end(cid, pid, fd) else {
+            return Dur::ZERO;
         };
-        let kind = self.clusters[ci].routing.primary(&end).map(|e| e.kind);
-        match kind {
-            Some(ChanKind::ServerPort(ServiceKind::File | ServiceKind::Raw)) => {
-                // File reads are request/reply (§7.5.1).
-                let req = FsRequest::FileRead { len: cap.min(u32::MAX as u64) as u32 };
-                match self.send_on_end(cid, pid, end, Payload::Fs(req)) {
-                    SendOutcome::Sent | SendOutcome::Suppressed => {
-                        self.block_pending(cid, pid, PendingCall::WriteReply { end, buf, cap });
-                    }
-                    SendOutcome::Unusable => {
-                        self.rewind_and_block(cid, pid, BlockState::Unusable { end });
-                    }
-                    SendOutcome::PeerGone => {
-                        self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                    }
-                }
-                fixed
-            }
+        let Some(entry) = self.clusters[cid.0 as usize].routing.primary(&end) else {
+            self.set_result(cid, pid, ERR);
+            return Dur::ZERO;
+        };
+        if let ChanKind::ServerPort(ServiceKind::File | ServiceKind::Raw) = entry.kind {
+            // File reads are request/reply (§7.5.1).
+            let req = FsRequest::FileRead { len: cap.min(u32::MAX as u64) as u32 };
+            let reply = PendingCall::WriteReply { end, buf, cap };
+            self.request(cid, pid, end, Payload::Fs(req), Some(reply));
+            return Dur::ZERO;
+        }
+        // Queue-consuming read: user channels and terminals.
+        let closed = entry.peer_closed;
+        let d = match entry.queue.front().map(|q| q.msg.payload.clone()) {
+            Some(Payload::Data(d)) => d,
+            // A non-data payload on a read channel fails the call.
             Some(_) => {
-                // Queue-consuming read: user channels and terminals.
-                let front = self.clusters[ci]
-                    .routing
-                    .primary(&end)
-                    .and_then(|e| e.queue.front())
-                    .map(|q| q.msg.payload.clone());
-                match front {
-                    Some(Payload::Data(d)) => {
-                        let n = d.len().min(cap as usize);
-                        let write = self
-                            .with_machine(cid, pid, |m| m.memory_mut().write(buf, &d[..n]))
-                            .unwrap_or(Access::Ok);
-                        match write {
-                            Access::Ok => {
-                                self.consume_front(cid, pid, end);
-                                self.with_machine(cid, pid, |m| m.set_reg(R0, n as u64));
-                                fixed + cost::copy(n)
-                            }
-                            Access::Fault(p) => {
-                                self.rewind_and_block_on_page(cid, pid, p);
-                                fixed
-                            }
-                            Access::OutOfRange(_) => {
-                                self.consume_front(cid, pid, end);
-                                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                                fixed
-                            }
-                        }
-                    }
-                    Some(_) => {
-                        // Non-data payload on a read channel: error.
-                        self.consume_front(cid, pid, end);
-                        self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                        fixed
-                    }
-                    None => {
-                        let closed = self.clusters[ci]
-                            .routing
-                            .primary(&end)
-                            .map(|e| e.peer_closed)
-                            .unwrap_or(true);
-                        if closed {
-                            self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                        } else {
-                            // Cannot return "no message found" (§7.5.1):
-                            // the backup might not find its queue in the
-                            // same state. Block until a message arrives.
-                            self.rewind_and_block(cid, pid, BlockState::Read { end });
-                        }
-                        fixed
-                    }
-                }
+                self.consume_front(cid, pid, end);
+                self.set_result(cid, pid, ERR);
+                return Dur::ZERO;
             }
+            None if closed => {
+                self.set_result(cid, pid, ERR);
+                return Dur::ZERO;
+            }
+            // Cannot return "no message found" (§7.5.1): the backup might
+            // not find its queue in the same state. Block until a message
+            // arrives.
             None => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                fixed
+                self.rewind_and_block(cid, pid, BlockState::Read { end });
+                return Dur::ZERO;
+            }
+        };
+        let n = d.len().min(cap as usize);
+        match self.with_machine(cid, pid, |m| m.memory_mut().write(buf, &d[..n])) {
+            Some(Access::Ok) | None => {
+                self.consume_front(cid, pid, end);
+                self.set_result(cid, pid, n as u64);
+                cost::copy(n)
+            }
+            Some(Access::Fault(p)) => {
+                self.rewind_and_block_on_page(cid, pid, p);
+                Dur::ZERO
+            }
+            Some(Access::OutOfRange(_)) => {
+                self.consume_front(cid, pid, end);
+                self.set_result(cid, pid, ERR);
+                Dur::ZERO
             }
         }
     }
 
+    /// Returns the copy cost of the data sent.
     fn sys_write(&mut self, cid: ClusterId, pid: Pid, [fd, buf, len]: [u64; 3]) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
-        let fd = Fd(fd as u32);
-        let len = len.min(64 * 1024) as usize;
-        let ci = cid.0 as usize;
-        let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
-            self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-            return fixed;
+        let Some(end) = self.fd_end(cid, pid, fd) else {
+            return Dur::ZERO;
         };
-        let mut data = vec![0u8; len];
-        let Some(read) = self.with_machine(cid, pid, |m| m.memory_mut().read(buf, &mut data))
-        else {
-            return fixed;
+        let Some(data) = self.read_guest(cid, pid, buf, len.min(64 * 1024) as usize) else {
+            return Dur::ZERO;
         };
-        match read {
-            Access::Ok => {}
-            Access::Fault(p) => {
-                self.rewind_and_block_on_page(cid, pid, p);
-                return fixed;
-            }
-            Access::OutOfRange(_) => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                return fixed;
-            }
-        }
-        let kind = self.clusters[ci].routing.primary(&end).map(|e| e.kind);
-        let copy_cost = cost::copy(len);
-        match kind {
-            Some(ChanKind::UserUser) | Some(ChanKind::ServerPort(ServiceKind::Tty)) => {
+        let len = data.len();
+        match self.clusters[cid.0 as usize].routing.primary(&end).map(|e| e.kind) {
+            Some(ChanKind::UserUser | ChanKind::ServerPort(ServiceKind::Tty)) => {
                 // Returns as soon as the message is on the outgoing
                 // queue (§7.5.1).
-                match self.send_on_end(cid, pid, end, Payload::Data(data.into())) {
-                    SendOutcome::Sent | SendOutcome::Suppressed => {
-                        self.with_machine(cid, pid, |m| m.set_reg(R0, len as u64));
-                    }
-                    SendOutcome::Unusable => {
-                        self.rewind_and_block(cid, pid, BlockState::Unusable { end });
-                    }
-                    SendOutcome::PeerGone => {
-                        self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                    }
+                let sent = self.request(cid, pid, end, Payload::Data(data.into()), None);
+                if matches!(sent, SendOutcome::Sent | SendOutcome::Suppressed) {
+                    self.set_result(cid, pid, len as u64);
                 }
-                fixed + copy_cost
             }
             Some(ChanKind::ServerPort(ServiceKind::File | ServiceKind::Raw)) => {
                 // Writes which require an answer from a server cannot
                 // return until that answer arrives (§7.5.1).
-                match self.send_on_end(
-                    cid,
-                    pid,
-                    end,
-                    Payload::Fs(FsRequest::FileWrite { data: data.into() }),
-                ) {
-                    SendOutcome::Sent | SendOutcome::Suppressed => {
-                        self.block_pending(
-                            cid,
-                            pid,
-                            PendingCall::WriteReply { end, buf: 0, cap: 0 },
-                        );
-                    }
-                    SendOutcome::Unusable => {
-                        self.rewind_and_block(cid, pid, BlockState::Unusable { end });
-                    }
-                    SendOutcome::PeerGone => {
-                        self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                    }
-                }
-                fixed + copy_cost
+                let req = FsRequest::FileWrite { data: data.into() };
+                let reply = PendingCall::WriteReply { end, buf: 0, cap: 0 };
+                self.request(cid, pid, end, Payload::Fs(req), Some(reply));
             }
             _ => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                fixed
+                self.set_result(cid, pid, ERR);
+                return Dur::ZERO;
             }
         }
-    }
-
-    fn sys_seek(&mut self, cid: ClusterId, pid: Pid, [fd, pos, _]: [u64; 3]) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
-        let fd = Fd(fd as u32);
-        let ci = cid.0 as usize;
-        let Some(end) = self.clusters[ci].procs.get(&pid).and_then(|p| p.end_of(fd)) else {
-            self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-            return fixed;
-        };
-        match self.send_on_end(cid, pid, end, Payload::Fs(FsRequest::FileSeek { pos })) {
-            SendOutcome::Sent | SendOutcome::Suppressed => {
-                self.block_pending(cid, pid, PendingCall::WriteReply { end, buf: 0, cap: 0 });
-            }
-            SendOutcome::Unusable => {
-                self.rewind_and_block(cid, pid, BlockState::Unusable { end });
-            }
-            SendOutcome::PeerGone => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-            }
-        }
-        fixed
-    }
-
-    fn sys_unlink(&mut self, cid: ClusterId, pid: Pid, [ptr, len, _]: [u64; 3]) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
-        let len = len.min(256) as usize;
-        let mut name_bytes = vec![0u8; len];
-        let read = self
-            .with_machine(cid, pid, |m| m.memory_mut().read(ptr, &mut name_bytes))
-            .unwrap_or(Access::Ok);
-        match read {
-            Access::Ok => {}
-            Access::Fault(p) => {
-                self.rewind_and_block_on_page(cid, pid, p);
-                return fixed;
-            }
-            Access::OutOfRange(_) => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-                return fixed;
-            }
-        }
-        let name = auros_bus::ChannelName::new(String::from_utf8_lossy(&name_bytes).into_owned());
-        let end = bootstrap_end(pid, ports::FS);
-        match self.send_on_end(cid, pid, end, Payload::Fs(FsRequest::Unlink { name })) {
-            SendOutcome::Sent | SendOutcome::Suppressed => {
-                self.block_pending(cid, pid, PendingCall::WriteReply { end, buf: 0, cap: 0 });
-            }
-            SendOutcome::Unusable => {
-                self.rewind_and_block(cid, pid, BlockState::Unusable { end });
-            }
-            SendOutcome::PeerGone => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, ERR));
-            }
-        }
-        fixed
-    }
-
-    fn sys_which(&mut self, cid: ClusterId, pid: Pid, [group, _, _]: [u64; 3]) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
-        match self.which_candidate(cid, pid, group) {
-            Some(fd) => {
-                self.with_machine(cid, pid, |m| m.set_reg(R0, fd.0 as u64));
-            }
-            None => {
-                self.rewind_and_block(cid, pid, BlockState::Which { group });
-            }
-        }
-        fixed
+        cost::copy(len)
     }
 
     // ------------------------------------------------------------------
@@ -1039,7 +867,7 @@ impl World {
     /// Runs one server step (message or device event); returns the
     /// work-processor time consumed. Effects are buffered and applied at
     /// `ServerDone`.
-    pub(crate) fn run_server_step(&mut self, cid: ClusterId, pid: Pid, _worker: usize) -> Dur {
+    pub(crate) fn run_server_step(&mut self, cid: ClusterId, pid: Pid) -> Dur {
         let ci = cid.0 as usize;
         // Earliest queued message across all owned ends, deterministic.
         // The ready index answers this in O(log n) — a scan of the
@@ -1090,15 +918,7 @@ impl World {
         self.apply_server_effects(cid, pid, effects);
         // Sync triggers: explicit requests were applied above; the
         // kernel-side counters cover system servers (§7.8).
-        let counters_trip = self.clusters[ci]
-            .procs
-            .get(&pid)
-            .map(|p| {
-                p.reads_since_sync > self.cfg.sync_max_reads
-                    || p.fuel_since_sync > self.cfg.sync_max_fuel
-            })
-            .unwrap_or(false);
-        if counters_trip {
+        if self.clusters[ci].procs.get(&pid).is_some_and(|p| p.sync_due(&self.cfg)) {
             self.perform_sync(cid, pid);
         }
         // The step is done: idle, or runnable again if more work waits.
@@ -1217,8 +1037,8 @@ impl World {
     // Fork (§7.7)
     // ------------------------------------------------------------------
 
+    /// Returns the copy cost of the child's address space.
     fn sys_fork(&mut self, cid: ClusterId, pid: Pid) -> Dur {
-        let fixed = cost::SYSCALL_FIXED;
         let ci = cid.0 as usize;
         // The whole address space must be materialized to copy it.
         let missing = self.clusters[ci].procs.get(&pid).and_then(|p| p.machine()).and_then(|m| {
@@ -1226,10 +1046,10 @@ impl World {
         });
         if let Some(page) = missing {
             self.rewind_and_block_on_page(cid, pid, page);
-            return fixed;
+            return Dur::ZERO;
         }
         let Some(fork_index) = self.clusters[ci].procs.get(&pid).map(|p| p.fork_count) else {
-            return fixed;
+            return Dur::ZERO;
         };
         // Replay path: a birth notice stored here means the failed
         // primary already performed this fork (§7.10.2).
@@ -1239,14 +1059,12 @@ impl World {
             if let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) {
                 pcb.fork_count += 1;
                 pcb.children.push(child);
-                if let Some(m) = pcb.machine_mut() {
-                    m.set_reg(R0, child.0);
-                }
             }
+            self.set_result(cid, pid, child.0);
             if !synced {
                 self.recreate_child_from_parent(cid, pid, child);
             }
-            return fixed;
+            return Dur::ZERO;
         }
         self.do_fork(cid, pid, fork_index)
     }
@@ -1262,11 +1080,11 @@ impl World {
         );
         // Clone the machine; UNIX-style return values.
         let Some(pcb) = self.clusters[ci].procs.get_mut(&pid) else {
-            return cost::SYSCALL_FIXED;
+            return Dur::ZERO;
         };
         let (mode, backup_cluster) = (pcb.mode, pcb.backup.cluster());
         let Some(m) = pcb.machine_mut() else {
-            return cost::SYSCALL_FIXED;
+            return Dur::ZERO;
         };
         m.set_reg(R0, child.0);
         let mut child_machine = m.clone();
@@ -1284,17 +1102,9 @@ impl World {
             _ => BackupStatus::None,
         };
         let inits = self.wire_bootstrap_channels(cid, child, backup.cluster(), mode);
-        let mut pcb = Pcb::new(
-            child,
-            ProcessBody::User(Box::new(child_machine)),
-            mode,
-            ProcessState::Runnable,
-        );
+        let mut pcb = Pcb::user(child, child_machine, mode);
         pcb.parent = Some(pid);
         pcb.backup = backup;
-        pcb.fds.insert(Fd(0), bootstrap_end(child, ports::FS));
-        pcb.fds.insert(Fd(1), bootstrap_end(child, ports::PROC));
-        pcb.next_fd = 2;
         let prev = self.admit(cid, pcb);
         assert!(prev.is_none(), "pid collision on fork: {child}");
         // Birth notice to the backup cluster (§7.7): creates routing
@@ -1315,7 +1125,7 @@ impl World {
             );
         }
         self.wake(cid, child);
-        cost::SYSCALL_FIXED + cost::copy(pages * auros_vm::PAGE_SIZE)
+        cost::copy(pages * auros_vm::PAGE_SIZE)
     }
 
     /// Creates the three bootstrap channels of a new process: local
@@ -1387,12 +1197,8 @@ impl World {
         };
         machine.set_reg(R0, 0);
         machine.memory_mut().mark_all_dirty();
-        let mut pcb =
-            Pcb::new(child, ProcessBody::User(Box::new(machine)), mode, ProcessState::Runnable);
+        let mut pcb = Pcb::user(child, machine, mode);
         pcb.parent = Some(parent);
-        pcb.fds.insert(Fd(0), bootstrap_end(child, ports::FS));
-        pcb.fds.insert(Fd(1), bootstrap_end(child, ports::PROC));
-        pcb.next_fd = 2;
         self.admit(cid, pcb);
         // Promote the child's backup entries (queues + write counts).
         self.clusters[ci].routing.promote_saved(child);

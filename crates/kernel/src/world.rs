@@ -1372,7 +1372,7 @@ impl World {
                 // Servers handle one message per step; the message is
                 // consumed now (counts updated) and effects are applied
                 // at ServerDone.
-                let span = self.run_server_step(cid, pid, worker);
+                let span = self.run_server_step(cid, pid);
                 if span == Dur::ZERO {
                     // Nothing to do after all; the step left it idle.
                     continue;
