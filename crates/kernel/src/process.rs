@@ -231,6 +231,9 @@ pub struct Pcb {
     pub run_token: u64,
     /// A peripheral server's device has input waiting (terminals).
     pub device_pending: bool,
+    /// The page a `PageIn` is on its way for, so a re-examined reply copy
+    /// asks for it once (§7.6). Residency state: never synced.
+    pub page_in_flight: Option<auros_vm::PageNo>,
     /// §10: nondeterministic results not yet piggybacked on an outgoing
     /// message (a crash now is free to re-decide them).
     pub pending_nondet: Vec<u64>,
@@ -269,6 +272,7 @@ impl Pcb {
             max_wait: auros_sim::Dur::ZERO,
             run_token: 0,
             device_pending: false,
+            page_in_flight: None,
             pending_nondet: Vec::new(),
             nondet_replay: std::collections::VecDeque::new(),
             checkpoint_debt: auros_sim::Dur::ZERO,

@@ -237,7 +237,19 @@ impl World {
     /// Blocks on a missing page and asks the page server for it.
     pub(crate) fn block_on_page(&mut self, cid: ClusterId, pid: Pid, page: PageNo) {
         self.transition(cid, pid, ProcessState::Blocked(BlockState::Page { page }));
-        self.kernel_send_pager(cid, PagerRequest::PageIn { pid, page });
+        self.request_page(cid, pid, page);
+    }
+
+    /// Asks the page server for a missing page, unless it is already on
+    /// its way: `install_page` installs every reply, so a second request
+    /// would overwrite whatever the process wrote after the first.
+    fn request_page(&mut self, cid: ClusterId, pid: Pid, page: PageNo) {
+        let Some(pcb) = self.clusters[cid.0 as usize].procs.get_mut(&pid) else {
+            return;
+        };
+        if pcb.page_in_flight.replace(page) != Some(page) {
+            self.kernel_send_pager(cid, PagerRequest::PageIn { pid, page });
+        }
     }
 
     /// Rewinds the trap, then blocks on a missing page (guest-buffer
@@ -413,7 +425,7 @@ impl World {
                 match self.with_machine(cid, pid, |m| m.memory_mut().write(buf, &d[..n])) {
                     Some(Access::Ok) | None => n as u64,
                     Some(Access::Fault(p)) => {
-                        self.kernel_send_pager(cid, PagerRequest::PageIn { pid, page: p });
+                        self.request_page(cid, pid, p);
                         return;
                     }
                     Some(Access::OutOfRange(_)) => ERR,

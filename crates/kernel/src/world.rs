@@ -1503,6 +1503,9 @@ impl World {
         if pcb.is_dead() {
             return;
         }
+        if pcb.page_in_flight == Some(page) {
+            pcb.page_in_flight = None;
+        }
         let Some(machine) = pcb.machine_mut() else {
             return;
         };
