@@ -170,8 +170,6 @@ pub struct Config {
     pub ablations: Ablations,
     /// Cost model.
     pub costs: CostModel,
-    /// Random seed for workload components that ask the world for one.
-    pub seed: u64,
     /// Backpressure: bound on a backup message queue's depth. When a
     /// queue reaches the bound, the backup's kernel demands a
     /// synchronization from the owner's primary — the paper's
@@ -220,7 +218,6 @@ impl Default for Config {
             strategy: FtStrategy::MessageSystem,
             ablations: Ablations::default(),
             costs: CostModel::default(),
-            seed: 0,
             backup_queue_limit: None,
             restart_budget: 8,
             poison_after: 3,
