@@ -170,15 +170,33 @@ fn fullback_reprotects_and_survives_second_crash() {
             b.crash_at(VTime(*at), *victim);
         }
         let mut sys = b.build();
+        sys.world.trace = TraceLog::capture_all();
         assert!(sys.run(DEADLINE), "fullbacks survive {crashes:?}");
-        sys.digest()
+        sys
     };
-    let clean = run(&[]);
+    let clean = run(&[]).digest();
     // First crash kills cluster 0 (initiator + servers). The fullback is
-    // re-protected at a new cluster; a second, later crash of that
-    // cluster must also be survivable.
-    assert_eq!(clean, run(&[(8_000, 0)]));
-    assert_eq!(clean, run(&[(8_000, 0), (60_000, 1)]));
+    // re-protected at a new cluster, cluster 2, which also holds the
+    // responder's backup; a second crash of that cluster while the pair
+    // still runs must also be survivable.
+    assert_eq!(clean, run(&[(8_000, 0)]).digest());
+    let mut sys = run(&[(8_000, 0), (16_000, 2)]);
+    assert_eq!(clean, sys.digest());
+    assert_eq!(sys.world.stats.recoveries.len(), 2, "both crashes are handled");
+    // Both fullbacks lost their backups in the second crash and are
+    // re-protected again, on cluster 3.
+    let placed: Vec<_> = sys
+        .world
+        .trace
+        .snapshot()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::BackupPlaced { cluster, .. } => Some((e.at, cluster)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(placed.len(), 3, "{placed:?}");
+    assert!(placed[1..].iter().all(|(at, c)| *at > VTime(16_000) && *c == 3), "{placed:?}");
 }
 
 #[test]
