@@ -16,7 +16,9 @@
 //! pairs, the ratio of the two medians (what a no-regression bound on
 //! medians compares; `!` marks one worse than the metric's `bound` in the
 //! head's `BENCHMARK.json`), the pairs head won (in the direction that
-//! file declares) and a two-sided sign-test p-value.
+//! file declares) and a two-sided sign-test p-value. Under each row it
+//! prints both sides' value in every run, in pair order: a bimodal metric
+//! (`kv_store`'s `setup_s` and `peak_rss_mb`) needs them to be read.
 //!
 //! After the pairs it runs each revision once more with `--trace 1`.
 //!
@@ -378,6 +380,16 @@ fn spread(v: Vec<f64>) -> String {
     format!("{} ({}–{})", q(0.5), q(0.25), q(0.75))
 }
 
+/// The two lines printed under a metric's row: each side's value in
+/// every run, in pair order, so a bimodal metric shows its modes.
+fn per_run(base: &[f64], head: &[f64]) -> [String; 2] {
+    let line = |side: &str, v: &[f64]| {
+        let values: Vec<String> = v.iter().map(|x| num(*x)).collect();
+        format!("{:>18} {side}: {}", "", values.join(", "))
+    };
+    [line("base", base), line("head", head)]
+}
+
 fn num(v: f64) -> String {
     if v.abs() >= 1_000.0 || v.fract() == 0.0 {
         format!("{v:.0}")
@@ -533,6 +545,7 @@ fn compare(
             None => (0, 0),
         };
         let shown: Vec<String> = ratios.iter().map(|r| format!("{r:.2}")).collect();
+        let runs = per_run(&base_values, &head_values);
         println!(
             "{:<18} {:>32} {:>32} {:>9.3} {:>7.3}{mark} {:>6} {:>7.3}  [{}]",
             name,
@@ -544,6 +557,7 @@ fn compare(
             sign_test(wins, losses),
             shown.join(", ")
         );
+        println!("{}\n{}", runs[0], runs[1]);
     }
     Ok(problems)
 }
@@ -635,6 +649,13 @@ mod tests {
             &Json::parse(r#"{"correct": true, "attempted": 4, "failed": 0}"#).unwrap(),
         );
         assert_eq!(fewer.differences(&base), ["other fields are reported"]);
+    }
+
+    #[test]
+    fn per_run_values_print_in_pair_order() {
+        let [base, head] = per_run(&[0.0172, 0.0223, 30.4], &[0.0171, 2.0, 4_830_270.6]);
+        assert_eq!(base, format!("{:18} base: 0.0172, 0.0223, 30.4000", ""));
+        assert_eq!(head, format!("{:18} head: 0.0171, 2, 4830271", ""));
     }
 
     #[test]
