@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use auros_bus::proto::{BackupMode, ChanKind, KernelState, SharedImage};
+use auros_bus::proto::{BackupMode, ChanKind, ChannelInit, KernelState, SharedImage};
 use auros_bus::{ClusterId, Pid};
 use auros_vm::Program;
 
@@ -233,12 +233,29 @@ impl World {
         backup: Option<ClusterId>,
         mode: BackupMode,
     ) {
-        let dir = self.clusters[cluster.0 as usize].directory.clone();
+        for (a, b, server_cluster) in
+            self.bootstrap_inits(cluster, pid, backup, mode).into_iter().flatten()
+        {
+            self.wire_channel_direct(cluster, &a, server_cluster, &b);
+        }
+    }
+
+    /// The bootstrap channels of a process on `cluster` (§7.7): its
+    /// signal, file-server and process-server ports, each present if its
+    /// server is installed. Each is the process's init, the server's init
+    /// and the server's cluster.
+    pub(crate) fn bootstrap_inits(
+        &self,
+        cluster: ClusterId,
+        pid: Pid,
+        backup: Option<ClusterId>,
+        mode: BackupMode,
+    ) -> [Option<(ChannelInit, ChannelInit, ClusterId)>; 3] {
+        let dir = &self.clusters[cluster.0 as usize].directory;
         let specs: [(u8, ServerLoc); 3] =
             [(ports::SIGNAL, dir.procserver), (ports::FS, dir.fs), (ports::PROC, dir.procserver)];
-        for (slot, server) in specs {
-            let Some((spid, sprimary, sbackup)) = server else { continue };
-            let kind = service_kind_for_slot(slot);
+        let init = |(slot, server): (u8, ServerLoc)| {
+            let (spid, sprimary, sbackup) = server?;
             let (a, b) = bootstrap_channel_inits(
                 pid,
                 cluster,
@@ -249,10 +266,11 @@ impl World {
                 sbackup,
                 BackupMode::Halfback,
                 slot,
-                kind,
+                service_kind_for_slot(slot),
             );
-            self.wire_channel_direct(cluster, &a, sprimary, &b);
-        }
+            Some((a, b, sprimary))
+        };
+        specs.map(init)
     }
 
     /// Convenience: installs the process server with defaults.

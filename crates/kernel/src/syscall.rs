@@ -23,7 +23,6 @@ use auros_vm::inst::regs::{R0, R1, R2, R3};
 use auros_vm::mem::Access;
 use auros_vm::{Exit, PageNo, Sys};
 
-use crate::cluster::ServerLoc;
 use crate::config::cost;
 use crate::process::{BackupStatus, BlockState, Pcb, ProcessBody, ProcessState};
 use crate::routing::RoutingTable;
@@ -1150,40 +1149,20 @@ impl World {
         backup_cluster: Option<ClusterId>,
         mode: auros_bus::proto::BackupMode,
     ) -> Vec<auros_bus::proto::ChannelInit> {
-        let dir = self.clusters[cid.0 as usize].directory.clone();
         let mut a_inits = Vec::new();
-        let specs: [(u8, ServerLoc); 3] =
-            [(ports::SIGNAL, dir.procserver), (ports::FS, dir.fs), (ports::PROC, dir.procserver)];
-        for (slot, server) in specs {
-            let Some((spid, sprimary, sbackup)) = server else { continue };
-            let kind = crate::world::service_kind_for_slot(slot);
-            let (a, b) = crate::world::bootstrap_channel_inits(
-                pid,
-                cid,
-                backup_cluster,
-                mode,
-                spid,
-                sprimary,
-                sbackup,
-                auros_bus::proto::BackupMode::Halfback,
-                slot,
-                kind,
-            );
+        for (a, b, sprimary) in
+            self.bootstrap_inits(cid, pid, backup_cluster, mode).into_iter().flatten()
+        {
             self.create_primary_entry_from_init(cid, &a);
             // Server-side entries (primary and backup) are created by
             // CreatePort controls so ordering follows the bus (§7.7).
-            let mut targets = vec![(sprimary, DeliveryTag::Kernel)];
-            if let Some(sb) = sbackup {
-                targets.push((sb, DeliveryTag::Kernel));
-            }
+            let sbackup = b.owner_backup;
+            let targets = std::iter::once(sprimary).chain(sbackup);
+            let create = Control::CreatePort { primary_at: sprimary, backup_at: sbackup, init: b };
             self.send_control(
                 cid,
-                targets,
-                Payload::Control(Control::CreatePort {
-                    primary_at: sprimary,
-                    backup_at: sbackup,
-                    init: b,
-                }),
+                targets.map(|c| (c, DeliveryTag::Kernel)).collect(),
+                Payload::Control(create),
             );
             a_inits.push(a);
         }
